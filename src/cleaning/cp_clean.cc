@@ -10,8 +10,6 @@
 #include "common/string_util.h"
 #include "core/certain_predictor.h"
 #include "core/fast_q2.h"
-#include "core/ss1.h"
-#include "core/ss_dc.h"
 #include "knn/knn_classifier.h"
 
 namespace cpclean {
@@ -220,28 +218,6 @@ double CleaningSession::MeanValEntropy() const {
              : total / static_cast<double>(task_->val_x.size());
 }
 
-double CleaningSession::ExpectedEntropyAfterCleaning(int i) {
-  const CertainPredictor predictor(kernel_, options_.k);
-  const std::vector<std::vector<double>> saved =
-      working_.example(i).candidates;
-  const int m = static_cast<int>(saved.size());
-  double expected = 0.0;
-  for (int j = 0; j < m; ++j) {
-    // Condition on candidate j being the truth (uniform prior).
-    working_.ReplaceCandidates(i, {saved[static_cast<size_t>(j)]});
-    double entropy_sum = 0.0;
-    for (size_t v = 0; v < task_->val_x.size(); ++v) {
-      // CP'ed points have zero entropy in every refinement of the dataset:
-      // conditioning only removes possible worlds.
-      if (val_certain_[v]) continue;
-      entropy_sum += predictor.PredictionEntropy(working_, task_->val_x[v]);
-    }
-    expected += entropy_sum / static_cast<double>(task_->val_x.size());
-  }
-  working_.ReplaceCandidates(i, saved);
-  return expected / static_cast<double>(m);
-}
-
 std::vector<double> CleaningSession::FastSelectionScores(
     const std::vector<int>& dirty) {
   // First compute-layer fault site. Unlike the I/O sites this one throws —
@@ -340,25 +316,13 @@ int CleaningSession::SelectGreedyPos() {
   // of dirty_'s ordering (it is unsorted after swap-and-pop removals).
   int chosen_pos = 0;
   double best = std::numeric_limits<double>::infinity();
-  if (options_.use_fast_selection) {
-    const std::vector<double> score = FastSelectionScores(dirty_);
-    for (size_t p = 0; p < score.size(); ++p) {
-      if (score[p] < best ||
-          (score[p] == best &&
-           dirty_[p] < dirty_[static_cast<size_t>(chosen_pos)])) {
-        best = score[p];
-        chosen_pos = static_cast<int>(p);
-      }
-    }
-  } else {
-    for (size_t p = 0; p < dirty_.size(); ++p) {
-      const double e = ExpectedEntropyAfterCleaning(dirty_[p]);
-      if (e < best ||
-          (e == best &&
-           dirty_[p] < dirty_[static_cast<size_t>(chosen_pos)])) {
-        best = e;
-        chosen_pos = static_cast<int>(p);
-      }
+  const std::vector<double> score = FastSelectionScores(dirty_);
+  for (size_t p = 0; p < score.size(); ++p) {
+    if (score[p] < best ||
+        (score[p] == best &&
+         dirty_[p] < dirty_[static_cast<size_t>(chosen_pos)])) {
+      best = score[p];
+      chosen_pos = static_cast<int>(p);
     }
   }
   return chosen_pos;

@@ -40,11 +40,9 @@ struct CpCleanOptions {
   bool track_test_accuracy = true;
   /// Track mean validation entropy at every step (costs one Q2 sweep).
   bool track_entropy = false;
-  /// Use the FastQ2 engine (precomputed scans, early termination,
-  /// never-in-top-K pruning) for the greedy selection. The slow path calls
-  /// the reference SS-DC engine per candidate and exists for validation.
-  bool use_fast_selection = true;
-  /// Mass tolerance for FastQ2's early termination.
+  /// Mass tolerance for FastQ2's early termination (the greedy selection
+  /// runs on FastQ2: precomputed scans, early termination, never-in-top-K
+  /// pruning).
   double fast_epsilon = 1e-9;
   /// Worker threads for the independent per-validation-point loops
   /// (selection scores, certainty refresh, entropy tracking). 0 = the
@@ -223,8 +221,8 @@ class CleaningSession {
   void Reset();
   /// Re-applies storage_ to a freshly rebuilt working_ (best effort).
   void ApplyWorkingStorage();
-  /// Position in `dirty_` of the greedy choice (fast or reference scoring
-  /// per `use_fast_selection`, ties toward the smallest example index).
+  /// Position in `dirty_` of the greedy choice (FastSelectionScores, ties
+  /// toward the smallest example index).
   int SelectGreedyPos();
   /// Marks newly-certain validation points; returns the certain fraction.
   /// (CP'ed points stay CP'ed: cleaning only removes possible worlds.)
@@ -235,11 +233,6 @@ class CleaningSession {
   void RecordAudit(int example);
   double CurrentTestAccuracy() const;
   double MeanValEntropy() const;
-  /// Expected mean validation entropy after cleaning example `i`
-  /// (Equation 4), averaging over its candidates as possible truths.
-  /// Reference implementation (SS-DC per candidate); the fast path above
-  /// computes the same scores batched.
-  double ExpectedEntropyAfterCleaning(int i);
   void CleanExample(int i);
   CleaningRunResult RunLoop(bool greedy, Rng* rng);
   void LogStep(CleaningRunResult* result, int step, int cleaned_example);

@@ -16,66 +16,54 @@ namespace cpclean {
 /// server methods — adding an op is adding a row, not editing dispatch
 /// code.
 struct OpHandlers {
-  static Result<JsonValue> Ping(Server& server, const JsonValue& req) {
-    (void)server;
-    (void)req;
+  static Result<JsonValue> Ping(Server&, const OpInfo&, const JsonValue&) {
     return JsonValue::MakeObject();
   }
 
-  static Result<JsonValue> CreateSession(Server& server,
+  static Result<JsonValue> CreateSession(Server& server, const OpInfo&,
                                          const JsonValue& req) {
     return server.CreateSession(req);
   }
 
-  static Result<JsonValue> ListSessions(Server& server,
+  static Result<JsonValue> ListSessions(Server& server, const OpInfo&,
                                         const JsonValue& req) {
     return server.ListSessions(req);
   }
 
-  static Result<JsonValue> DropSession(Server& server, const JsonValue& req) {
+  static Result<JsonValue> DropSession(Server& server, const OpInfo&,
+                                       const JsonValue& req) {
     return server.DropSession(req);
   }
 
-  static Result<JsonValue> Certify(Server& server, const JsonValue& req) {
-    CP_ASSIGN_OR_RETURN(const int max_cleaned,
-                        RequestIntParam(req, "max_cleaned", -1));
-    return server.BatchQuery(
-        req, [max_cleaned](ServeSession& session,
-                           const std::vector<double>& point) {
-          return session.Certify(point, max_cleaned);
-        });
+  /// Every per-point read op: resolves the row's parameter, the session,
+  /// and the `points`/`val_indices` selector, then answers each point
+  /// through `ServeSession::Read`.
+  static Result<JsonValue> PointRead(Server& server, const OpInfo& op,
+                                     const JsonValue& req) {
+    int param = -1;
+    if (op.read_param != nullptr) {
+      CP_ASSIGN_OR_RETURN(param, RequestIntParam(req, op.read_param, -1));
+    }
+    CP_ASSIGN_OR_RETURN(const std::string name, RequestSessionName(req));
+    CP_ASSIGN_OR_RETURN(const std::shared_ptr<ServeSession> session,
+                        server.FindSession(name));
+    CP_ASSIGN_OR_RETURN(
+        const std::vector<std::vector<double>> points,
+        ResolveRequestPoints(
+            req, [&session](int index) { return session->ValPoint(index); }));
+    JsonValue results = JsonValue::MakeArray();
+    for (const std::vector<double>& point : points) {
+      CP_ASSIGN_OR_RETURN(JsonValue value, session->Read(op, point, param));
+      results.Append(std::move(value));
+    }
+    JsonValue out = JsonValue::MakeObject();
+    out.Set("count", JsonValue(static_cast<int>(points.size())));
+    out.Set("results", std::move(results));
+    return out;
   }
 
-  static Result<JsonValue> Q2(Server& server, const JsonValue& req) {
-    return server.BatchQuery(
-        req, [](ServeSession& session, const std::vector<double>& point) {
-          return session.Q2(point);
-        });
-  }
-
-  static Result<JsonValue> Predict(Server& server, const JsonValue& req) {
-    return server.BatchQuery(
-        req, [](ServeSession& session, const std::vector<double>& point) {
-          return session.Predict(point);
-        });
-  }
-
-  static Result<JsonValue> Explain(Server& server, const JsonValue& req) {
-    return server.BatchQuery(
-        req, [](ServeSession& session, const std::vector<double>& point) {
-          return session.Explain(point);
-        });
-  }
-
-  static Result<JsonValue> WhyCertified(Server& server,
-                                        const JsonValue& req) {
-    return server.BatchQuery(
-        req, [](ServeSession& session, const std::vector<double>& point) {
-          return session.WhyCertified(point);
-        });
-  }
-
-  static Result<JsonValue> CleanStep(Server& server, const JsonValue& req) {
+  static Result<JsonValue> CleanStep(Server& server, const OpInfo&,
+                                     const JsonValue& req) {
     CP_ASSIGN_OR_RETURN(const std::string name, RequestSessionName(req));
     CP_ASSIGN_OR_RETURN(const std::shared_ptr<ServeSession> session,
                         server.FindSession(name));
@@ -83,7 +71,8 @@ struct OpHandlers {
     return session->CleanStep(steps);
   }
 
-  static Result<JsonValue> CleanRun(Server& server, const JsonValue& req) {
+  static Result<JsonValue> CleanRun(Server& server, const OpInfo&,
+                                    const JsonValue& req) {
     CP_ASSIGN_OR_RETURN(const std::string name, RequestSessionName(req));
     CP_ASSIGN_OR_RETURN(const std::shared_ptr<ServeSession> session,
                         server.FindSession(name));
@@ -91,28 +80,33 @@ struct OpHandlers {
     return session->CleanRun(budget);
   }
 
-  static Result<JsonValue> SaveSession(Server& server, const JsonValue& req) {
+  static Result<JsonValue> SaveSession(Server& server, const OpInfo&,
+                                       const JsonValue& req) {
     return server.SaveSession(req);
   }
 
-  static Result<JsonValue> LoadSession(Server& server, const JsonValue& req) {
+  static Result<JsonValue> LoadSession(Server& server, const OpInfo&,
+                                       const JsonValue& req) {
     return server.LoadSession(req);
   }
 
-  static Result<JsonValue> Stats(Server& server, const JsonValue& req) {
+  static Result<JsonValue> Stats(Server& server, const OpInfo&,
+                                 const JsonValue& req) {
     return server.Stats(req);
   }
 
-  static Result<JsonValue> Metrics(Server& server, const JsonValue& req) {
+  static Result<JsonValue> Metrics(Server& server, const OpInfo&,
+                                   const JsonValue& req) {
     return server.Metrics(req);
   }
 
-  static Result<JsonValue> FaultInject(Server& server, const JsonValue& req) {
+  static Result<JsonValue> FaultInject(Server& server, const OpInfo&,
+                                       const JsonValue& req) {
     return server.FaultInject(req);
   }
 
-  static Result<JsonValue> Shutdown(Server& server, const JsonValue& req) {
-    (void)req;
+  static Result<JsonValue> Shutdown(Server& server, const OpInfo&,
+                                    const JsonValue&) {
     // Graceful (not Stop()): the connection that asked must still receive
     // this response before the event loop drains and closes it.
     server.RequestStop();
@@ -161,23 +155,24 @@ const std::vector<OpInfo>& OpRegistry() {
       {"certify", OpClass::kRead, true, false,
        "`session`, `points` or `val_indices`, `max_cleaned`",
        "per point: `{certified, label, cleaned: [tuple ids]}`",
-       &OpHandlers::Certify},
+       &OpHandlers::PointRead, ReadOp::kCertify, "max_cleaned"},
       {"q2", OpClass::kRead, true, true,
        "`session`, `points` or `val_indices`",
-       "per point: `{probs, entropy}`", &OpHandlers::Q2},
+       "per point: `{probs, entropy}`", &OpHandlers::PointRead, ReadOp::kQ2},
       {"predict", OpClass::kRead, true, false,
        "`session`, `points` or `val_indices`",
-       "per point: `{certain, label}` (Q1)", &OpHandlers::Predict},
+       "per point: `{certain, label}` (Q1)", &OpHandlers::PointRead,
+       ReadOp::kPredict},
       {"explain", OpClass::kRead, true, false,
        "`session`, `points` or `val_indices`",
        "per point: `{certain, label, witnesses, support, minimal, version}` — "
        "the dirty tuples whose candidate repairs decide the prediction",
-       &OpHandlers::Explain},
+       &OpHandlers::PointRead, ReadOp::kExplain},
       {"why_certified", OpClass::kRead, true, false,
        "`session`, `points` or `val_indices`",
        "per point: `{certified, label, witnesses, minimal, trail, version}` — "
        "witnesses plus the audited cleaning steps that fixed them",
-       &OpHandlers::WhyCertified},
+       &OpHandlers::PointRead, ReadOp::kWhyCertified},
       {"clean_step", OpClass::kWrite, true, false, "`session`, `steps`",
        "`{cleaned: [ids], frac_val_certain, dirty_remaining, version}`",
        &OpHandlers::CleanStep},

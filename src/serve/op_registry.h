@@ -39,6 +39,12 @@ enum class OpClass {
 /// under which `OpCapabilities()` groups ops.
 const char* OpClassName(OpClass c);
 
+/// The per-point read ops (the paper's Q1/Q2 queries and the reads built
+/// on them). A row carrying one is served by the shared batch handler and
+/// `ServeSession::Read`; the op itself contributes only its
+/// compute-and-render body there.
+enum class ReadOp { kNone, kCertify, kQ2, kPredict, kExplain, kWhyCertified };
+
 /// One protocol op. `params` and `result` are GitHub-markdown table cells
 /// (pipes escaped) — the README "Serving" table is generated from them and
 /// a test holds the README copy byte-identical to `OpTableMarkdown()`.
@@ -52,7 +58,14 @@ struct OpInfo {
   bool coalescable;
   const char* params;
   const char* result;
-  Result<JsonValue> (*handler)(Server& server, const JsonValue& req);
+  /// Receives its own row, so one handler can serve several ops.
+  Result<JsonValue> (*handler)(Server& server, const OpInfo& op,
+                               const JsonValue& req);
+  /// The per-point body answering each point (kNone: not a per-point op).
+  ReadOp read = ReadOp::kNone;
+  /// Per-point ops only: the name of the op's integer request parameter
+  /// (default -1, part of the cache key), or nullptr when it takes none.
+  const char* read_param = nullptr;
 };
 
 /// The full op table, in protocol-documentation order.

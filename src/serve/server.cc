@@ -195,28 +195,6 @@ Result<JsonValue> Server::CreateSession(const JsonValue& req) {
   return out;
 }
 
-Result<JsonValue> Server::BatchQuery(
-    const JsonValue& req,
-    const std::function<Result<JsonValue>(
-        ServeSession&, const std::vector<double>&)>& one) {
-  CP_ASSIGN_OR_RETURN(const std::string name, RequestSessionName(req));
-  CP_ASSIGN_OR_RETURN(const std::shared_ptr<ServeSession> session,
-                      FindSession(name));
-  CP_ASSIGN_OR_RETURN(
-      const std::vector<std::vector<double>> points,
-      ResolveRequestPoints(
-          req, [&session](int index) { return session->ValPoint(index); }));
-  JsonValue results = JsonValue::MakeArray();
-  for (const std::vector<double>& point : points) {
-    CP_ASSIGN_OR_RETURN(JsonValue value, one(*session, point));
-    results.Append(std::move(value));
-  }
-  JsonValue out = JsonValue::MakeObject();
-  out.Set("count", JsonValue(static_cast<int>(points.size())));
-  out.Set("results", std::move(results));
-  return out;
-}
-
 Result<JsonValue> Server::ListSessions(const JsonValue& req) {
   (void)req;
   JsonValue out = JsonValue::MakeObject();
@@ -558,7 +536,7 @@ Result<JsonValue> Server::Dispatch(const std::string& op,
   // Counted against the registered name (a bounded label set), never the
   // raw client string.
   OpRequestCounter(*info).Add(1);
-  return info->handler(*this, req);
+  return info->handler(*this, *info, req);
 }
 
 JsonValue Server::HandleRequest(const JsonValue& request) {

@@ -215,12 +215,6 @@ class Server {
   Result<JsonValue> Dispatch(const std::string& op, const JsonValue& req);
   Result<JsonValue> CreateSession(const JsonValue& req);
   Result<JsonValue> ListSessions(const JsonValue& req);
-  /// Resolves the session and the `points`/`val_indices` selector, then
-  /// applies `one` (the op-specific per-point query) to each point.
-  Result<JsonValue> BatchQuery(
-      const JsonValue& req,
-      const std::function<Result<JsonValue>(
-          ServeSession&, const std::vector<double>&)>& one);
   Result<JsonValue> DropSession(const JsonValue& req);
   Result<JsonValue> SaveSession(const JsonValue& req);
   Result<JsonValue> LoadSession(const JsonValue& req);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "cleaning/certify.h"
@@ -155,209 +156,135 @@ Result<std::vector<double>> ServeSession::ValPoint(int index) const {
   return task_.val_x[static_cast<size_t>(index)];
 }
 
-template <typename Fn>
-Result<JsonValue> ServeSession::Cached(const std::string& key,
-                                       uint64_t version, Fn compute) {
+Result<JsonValue> ServeSession::Read(const OpInfo& op,
+                                     const std::vector<double>& point,
+                                     int param) {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  Touch();
+  const IncompleteDataset& working = cleaner_->working();
+  if (static_cast<int>(point.size()) != working.dim()) {
+    return Status::InvalidArgument(
+        StrFormat("point has %d features, dataset has %d",
+                  static_cast<int>(point.size()), working.dim()));
+  }
+  const uint64_t version = working.version();
+  const std::string key =
+      QueryCacheKey(op.name, kernel_->name(), options_.k, param, point);
   {
     ScopedSpanPhase phase(kSpanCacheLookup);
     if (std::optional<JsonValue> hit = cache_.Lookup(key, version)) {
       return *std::move(hit);
     }
   }
-  Result<JsonValue> computed = compute();
+  Result<JsonValue> computed = ComputeRead(op.read, point, param, version);
   if (computed.ok()) cache_.Insert(key, version, computed.value());
   return computed;
 }
 
-Result<JsonValue> ServeSession::Certify(const std::vector<double>& point,
-                                        int max_cleaned) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  Touch();
-  const uint64_t version = cleaner_->working().version();
-  const std::string key = QueryCacheKey("certify", kernel_->name(),
-                                        options_.k, max_cleaned, point);
-  return Cached(key, version, [&]() -> Result<JsonValue> {
-    CertifyOptions certify_options;
-    certify_options.k = options_.k;
-    certify_options.max_cleaned = max_cleaned;
-    certify_options.num_threads = options_.num_threads;
-    ScopedSpanPhase compute_phase(kSpanKernelCompute);
-    CP_ASSIGN_OR_RETURN(
-        const CertifyResult certified,
-        CertifyOnDataset(cleaner_->working(), task_.true_candidate, point,
-                         *kernel_, certify_options));
-    JsonValue out = JsonValue::MakeObject();
-    out.Set("certified", JsonValue(certified.certified));
-    out.Set("label", JsonValue(certified.certain_label));
-    out.Set("cleaned", JsonValue::FromInts(certified.cleaned));
-    out.Set("version", JsonValue(version));
-    return out;
-  });
-}
-
-Result<JsonValue> ServeSession::Q2(const std::vector<double>& point) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  Touch();
+Result<JsonValue> ServeSession::ComputeRead(ReadOp op,
+                                            const std::vector<double>& point,
+                                            int param, uint64_t version) {
   const IncompleteDataset& working = cleaner_->working();
-  if (static_cast<int>(point.size()) != working.dim()) {
-    return Status::InvalidArgument(
-        StrFormat("point has %d features, dataset has %d",
-                  static_cast<int>(point.size()), working.dim()));
-  }
-  const uint64_t version = working.version();
-  const std::string key =
-      QueryCacheKey("q2", kernel_->name(), options_.k, -1, point);
-  return Cached(key, version, [&]() -> Result<JsonValue> {
-    // A private engine per concurrent reader; SetTestPoint re-binds when
-    // the lease is stamped with a superseded dataset version.
-    std::optional<EnginePool::Lease> engine;
-    {
-      ScopedSpanPhase phase(kSpanEngineAcquire);
-      engine.emplace(engines_->Acquire());
-    }
-    ScopedSpanPhase compute_phase(kSpanKernelCompute);
-    (*engine)->SetTestPoint(point, *kernel_);
-    const std::vector<double> probs = (*engine)->Fractions();
-    JsonValue out = JsonValue::MakeObject();
-    out.Set("probs", JsonValue::FromDoubles(probs));
-    out.Set("entropy", JsonValue(Entropy(probs)));
-    out.Set("version", JsonValue(version));
-    return out;
-  });
-}
-
-Result<JsonValue> ServeSession::Predict(const std::vector<double>& point) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  Touch();
-  const IncompleteDataset& working = cleaner_->working();
-  if (static_cast<int>(point.size()) != working.dim()) {
-    return Status::InvalidArgument(
-        StrFormat("point has %d features, dataset has %d",
-                  static_cast<int>(point.size()), working.dim()));
-  }
-  const uint64_t version = working.version();
-  const std::string key =
-      QueryCacheKey("predict", kernel_->name(), options_.k, -1, point);
-  return Cached(key, version, [&]() -> Result<JsonValue> {
-    const CertainPredictor predictor(kernel_.get(), options_.k);
-    ScopedSpanPhase compute_phase(kSpanKernelCompute);
-    const CheckResult check = predictor.Check(working, point);
-    const int label = check.CertainLabel();
-    JsonValue out = JsonValue::MakeObject();
-    out.Set("certain", JsonValue(label >= 0));
-    out.Set("label", JsonValue(label));
-    out.Set("version", JsonValue(version));
-    return out;
-  });
-}
-
-Result<JsonValue> ServeSession::Explain(const std::vector<double>& point) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  Touch();
-  const IncompleteDataset& working = cleaner_->working();
-  if (static_cast<int>(point.size()) != working.dim()) {
-    return Status::InvalidArgument(
-        StrFormat("point has %d features, dataset has %d",
-                  static_cast<int>(point.size()), working.dim()));
-  }
-  const uint64_t version = working.version();
-  const std::string key =
-      QueryCacheKey("explain", kernel_->name(), options_.k, -1, point);
-  return Cached(key, version, [&]() -> Result<JsonValue> {
-    ScopedSpanPhase compute_phase(kSpanKernelCompute);
-    CP_ASSIGN_OR_RETURN(
-        const WitnessSet witness,
-        ExplainPrediction(working, point, *kernel_, options_.k));
-    JsonValue out = JsonValue::MakeObject();
-    out.Set("certain", JsonValue(witness.certain));
-    out.Set("label", JsonValue(witness.label));
-    out.Set("witnesses", JsonValue::FromInts(witness.tuples));
-    out.Set("support", JsonValue::FromInts(witness.support));
-    out.Set("minimal", JsonValue(witness.minimal));
-    out.Set("version", JsonValue(version));
-    return out;
-  });
-}
-
-Result<JsonValue> ServeSession::WhyCertified(
-    const std::vector<double>& point) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  Touch();
-  const IncompleteDataset& working = cleaner_->working();
-  if (static_cast<int>(point.size()) != working.dim()) {
-    return Status::InvalidArgument(
-        StrFormat("point has %d features, dataset has %d",
-                  static_cast<int>(point.size()), working.dim()));
-  }
-  const uint64_t version = working.version();
-  const std::string key = QueryCacheKey("why_certified", kernel_->name(),
-                                        options_.k, -1, point);
-  return Cached(key, version, [&]() -> Result<JsonValue> {
-    ScopedSpanPhase compute_phase(kSpanKernelCompute);
-    CP_ASSIGN_OR_RETURN(
-        const WitnessSet witness,
-        ExplainPrediction(working, point, *kernel_, options_.k));
-    // The decision trail: cleaning steps whose fixed tuple the
-    // certification rests on (witness tuples stay ascending, so a binary
-    // search per record suffices). The audit only moves under the
-    // exclusive lock, so reading it here under the shared lock is
-    // coherent with `version`.
-    JsonValue trail = JsonValue::MakeArray();
-    for (const CleaningAuditRecord& record : cleaner_->audit()) {
-      if (!std::binary_search(witness.tuples.begin(), witness.tuples.end(),
-                              record.example)) {
-        continue;
-      }
-      JsonValue entry = JsonValue::MakeObject();
-      entry.Set("step", JsonValue(record.step));
-      entry.Set("tuple", JsonValue(record.example));
-      entry.Set("version", JsonValue(record.version));
-      entry.Set("newly_certain", JsonValue::FromInts(record.newly_certain));
-      trail.Append(std::move(entry));
-    }
-    JsonValue out = JsonValue::MakeObject();
-    out.Set("certified", JsonValue(witness.certain));
-    out.Set("label", JsonValue(witness.label));
-    out.Set("witnesses", JsonValue::FromInts(witness.tuples));
-    out.Set("minimal", JsonValue(witness.minimal));
-    out.Set("trail", std::move(trail));
-    out.Set("version", JsonValue(version));
-    return out;
-  });
-}
-
-Result<JsonValue> ServeSession::CleanStep(int steps) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  Touch();
-  if (retired_) {
-    return Status::Unavailable(StrFormat(
-        "session \"%s\" was evicted; retry the request", name_.c_str()));
-  }
-  if (steps < 1) return Status::InvalidArgument("steps must be >= 1");
-  std::vector<int> cleaned;
-  for (int s = 0; s < steps; ++s) {
-    const int example = cleaner_->StepGreedy();
-    if (example < 0) break;
-    cleaned.push_back(example);
-  }
-  if (!cleaned.empty()) {
-    write_seq_.fetch_add(1, std::memory_order_relaxed);
-  }
   JsonValue out = JsonValue::MakeObject();
-  out.Set("cleaned", JsonValue::FromInts(cleaned));
-  out.Set("frac_val_certain", JsonValue(cleaner_->FracValCertain()));
-  out.Set("dirty_remaining", JsonValue(cleaner_->NumDirtyRemaining()));
-  out.Set("version", JsonValue(cleaner_->working().version()));
+  switch (op) {
+    case ReadOp::kCertify: {
+      CertifyOptions certify_options;
+      certify_options.k = options_.k;
+      certify_options.max_cleaned = param;
+      certify_options.num_threads = options_.num_threads;
+      ScopedSpanPhase compute_phase(kSpanKernelCompute);
+      CP_ASSIGN_OR_RETURN(
+          const CertifyResult certified,
+          CertifyOnDataset(working, task_.true_candidate, point, *kernel_,
+                           certify_options));
+      out.Set("certified", JsonValue(certified.certified));
+      out.Set("label", JsonValue(certified.certain_label));
+      out.Set("cleaned", JsonValue::FromInts(certified.cleaned));
+      break;
+    }
+    case ReadOp::kQ2: {
+      // A private engine per concurrent reader; SetTestPoint re-binds when
+      // the lease is stamped with a superseded dataset version.
+      std::optional<EnginePool::Lease> engine;
+      {
+        ScopedSpanPhase phase(kSpanEngineAcquire);
+        engine.emplace(engines_->Acquire());
+      }
+      ScopedSpanPhase compute_phase(kSpanKernelCompute);
+      (*engine)->SetTestPoint(point, *kernel_);
+      const std::vector<double> probs = (*engine)->Fractions();
+      out.Set("probs", JsonValue::FromDoubles(probs));
+      out.Set("entropy", JsonValue(Entropy(probs)));
+      break;
+    }
+    case ReadOp::kPredict: {
+      const CertainPredictor predictor(kernel_.get(), options_.k);
+      ScopedSpanPhase compute_phase(kSpanKernelCompute);
+      const int label = predictor.Check(working, point).CertainLabel();
+      out.Set("certain", JsonValue(label >= 0));
+      out.Set("label", JsonValue(label));
+      break;
+    }
+    case ReadOp::kExplain: {
+      ScopedSpanPhase compute_phase(kSpanKernelCompute);
+      CP_ASSIGN_OR_RETURN(
+          const WitnessSet witness,
+          ExplainPrediction(working, point, *kernel_, options_.k));
+      out.Set("certain", JsonValue(witness.certain));
+      out.Set("label", JsonValue(witness.label));
+      out.Set("witnesses", JsonValue::FromInts(witness.tuples));
+      out.Set("support", JsonValue::FromInts(witness.support));
+      out.Set("minimal", JsonValue(witness.minimal));
+      break;
+    }
+    case ReadOp::kWhyCertified: {
+      ScopedSpanPhase compute_phase(kSpanKernelCompute);
+      CP_ASSIGN_OR_RETURN(
+          const WitnessSet witness,
+          ExplainPrediction(working, point, *kernel_, options_.k));
+      // The decision trail: cleaning steps whose fixed tuple the
+      // certification rests on (witness tuples stay ascending, so a binary
+      // search per record suffices). The audit only moves under the
+      // exclusive lock, so reading it here under the shared lock is
+      // coherent with `version`.
+      JsonValue trail = JsonValue::MakeArray();
+      for (const CleaningAuditRecord& record : cleaner_->audit()) {
+        if (!std::binary_search(witness.tuples.begin(),
+                                witness.tuples.end(), record.example)) {
+          continue;
+        }
+        JsonValue entry = JsonValue::MakeObject();
+        entry.Set("step", JsonValue(record.step));
+        entry.Set("tuple", JsonValue(record.example));
+        entry.Set("version", JsonValue(record.version));
+        entry.Set("newly_certain",
+                  JsonValue::FromInts(record.newly_certain));
+        trail.Append(std::move(entry));
+      }
+      out.Set("certified", JsonValue(witness.certain));
+      out.Set("label", JsonValue(witness.label));
+      out.Set("witnesses", JsonValue::FromInts(witness.tuples));
+      out.Set("minimal", JsonValue(witness.minimal));
+      out.Set("trail", std::move(trail));
+      break;
+    }
+    case ReadOp::kNone:
+      return Status::InvalidArgument("not a per-point read op");
+  }
+  out.Set("version", JsonValue(version));
   return out;
 }
 
+Result<JsonValue> ServeSession::CleanStep(int steps) {
+  return CleanGreedy(steps, /*run=*/false);
+}
+
 Result<JsonValue> ServeSession::CleanRun(int budget) {
+  return CleanGreedy(budget, /*run=*/true);
+}
+
+Result<JsonValue> ServeSession::CleanGreedy(int limit, bool run) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   requests_.fetch_add(1, std::memory_order_relaxed);
   Touch();
@@ -365,8 +292,9 @@ Result<JsonValue> ServeSession::CleanRun(int budget) {
     return Status::Unavailable(StrFormat(
         "session \"%s\" was evicted; retry the request", name_.c_str()));
   }
+  if (!run && limit < 1) return Status::InvalidArgument("steps must be >= 1");
   std::vector<int> cleaned;
-  while (budget < 0 || static_cast<int>(cleaned.size()) < budget) {
+  while (limit < 0 || static_cast<int>(cleaned.size()) < limit) {
     const int example = cleaner_->StepGreedy();
     if (example < 0) break;
     cleaned.push_back(example);
@@ -376,7 +304,7 @@ Result<JsonValue> ServeSession::CleanRun(int budget) {
   }
   JsonValue out = JsonValue::MakeObject();
   out.Set("cleaned", JsonValue::FromInts(cleaned));
-  out.Set("steps", JsonValue(static_cast<int>(cleaned.size())));
+  if (run) out.Set("steps", JsonValue(static_cast<int>(cleaned.size())));
   out.Set("frac_val_certain", JsonValue(cleaner_->FracValCertain()));
   out.Set("dirty_remaining", JsonValue(cleaner_->NumDirtyRemaining()));
   out.Set("version", JsonValue(cleaner_->working().version()));
@@ -436,12 +364,6 @@ JsonValue ServeSession::Stats() {
   return out;
 }
 
-std::string ServeSession::SerializeSnapshot(uint64_t* write_seq_out,
-                                            uint64_t* version_out) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return SerializeSnapshotLocked(write_seq_out, version_out);
-}
-
 ServeSession::SnapshotDelta ServeSession::SerializeDelta(
     uint64_t since_version) {
   std::shared_lock<std::shared_mutex> lock(mu_);
@@ -454,10 +376,11 @@ ServeSession::SnapshotDelta ServeSession::SerializeDelta(
   return delta;
 }
 
-std::string ServeSession::SerializeSnapshotLocked(uint64_t* write_seq_out,
-                                                  uint64_t* version_out) {
+std::string ServeSession::SerializeSnapshot(uint64_t* write_seq_out,
+                                            uint64_t* version_out) {
+  std::shared_lock<std::shared_mutex> lock(mu_);
   // Coherent with the bits below: mutations need the exclusive lock, so
-  // under either lock mode the counter cannot move mid-serialization.
+  // the counter cannot move mid-serialization.
   if (write_seq_out != nullptr) {
     *write_seq_out = write_seq_.load(std::memory_order_relaxed);
   }
@@ -497,23 +420,13 @@ std::string ServeSession::SerializeSnapshotLocked(uint64_t* write_seq_out,
       "task",
       {StrFormat("fingerprint %016llx",
                  static_cast<unsigned long long>(TaskFingerprint(task_)))}});
-  return SerializeIncompleteDatasetV3(cleaner_->working(), sections);
-}
-
-std::optional<std::string> ServeSession::RetireAndResnapshot(
-    uint64_t since_write_seq) {
-  // The exclusive lock drains in-flight writers before the retired flag
-  // flips, so every acknowledged mutation is visible to the dirty check —
-  // and any writer queued behind us observes retired_ and refuses.
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  retired_ = true;
-  if (write_seq_.load(std::memory_order_relaxed) == since_write_seq) {
-    return std::nullopt;
-  }
-  return SerializeSnapshotLocked(nullptr);
+  return SerializeIncompleteDataset(cleaner_->working(), sections);
 }
 
 bool ServeSession::Retire(uint64_t since_write_seq) {
+  // The exclusive lock drains in-flight writers before the retired flag
+  // flips, so every acknowledged mutation is visible to the dirty check —
+  // and any writer queued behind us observes retired_ and refuses.
   std::unique_lock<std::shared_mutex> lock(mu_);
   retired_ = true;
   return write_seq_.load(std::memory_order_relaxed) != since_write_seq;

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -17,6 +16,7 @@
 #include "knn/kernel.h"
 #include "serve/engine_pool.h"
 #include "serve/json.h"
+#include "serve/op_registry.h"
 #include "serve/result_cache.h"
 
 namespace cpclean {
@@ -68,7 +68,9 @@ uint64_t TaskFingerprint(const CleaningTask& task);
 /// Operations are classified read vs write over the working dataset and
 /// synchronized by a `std::shared_mutex`:
 ///
-///   read  (shared lock, run concurrently):  q2, predict, certify, stats,
+///   read  (shared lock, run concurrently):  the per-point reads (q2,
+///                                           predict, certify, explain,
+///                                           why_certified), stats,
 ///                                           snapshot serialization
 ///   write (exclusive lock, serialize):      clean_step, clean_run
 ///
@@ -124,34 +126,34 @@ class ServeSession {
 
   // --- Read operations (shared lock) ---------------------------------------
 
-  /// Greedy per-point cleaning certificate against the *current* working
-  /// dataset. Result: {certified, label, cleaned: [ids], version}. Cached.
-  Result<JsonValue> Certify(const std::vector<double>& point,
-                            int max_cleaned);
-
-  /// Q2 label distribution + entropy for one test point against the
-  /// current working dataset: {probs: [...], entropy, version}. Cached;
-  /// computed on an engine leased from the session's pool.
-  Result<JsonValue> Q2(const std::vector<double>& point);
-
-  /// Q1 checking query: {certain, label, version} (label -1 when worlds
-  /// disagree). Cached.
-  Result<JsonValue> Predict(const std::vector<double>& point);
-
-  /// Provenance query: the minimal witness set determining the point's
-  /// Q1 answer on the current working dataset. Result: {certain, label,
-  /// witnesses: [tuple ids], support: [tuple ids], minimal, version} —
-  /// restricting the dataset to `witnesses` reproduces (certain, label)
-  /// bit-for-bit, and removing any single witness flips or un-certifies
-  /// it. Cached and version-stamped like every read.
-  Result<JsonValue> Explain(const std::vector<double>& point);
-
-  /// `Explain` plus the cleaning-decision audit trail: which of the
-  /// session's cleaning steps touched a witness tuple, with each step's
-  /// post-fix version and the validation points it newly certified.
-  /// Result: {certified, label, witnesses, minimal, trail: [{step, tuple,
-  /// version, newly_certain}], version}.
-  Result<JsonValue> WhyCertified(const std::vector<double>& point);
+  /// Answers one point of a per-point read op (`op.read`, see
+  /// op_registry.h) against the current working dataset. Every op shares
+  /// one prologue — shared lock, request count, touch, the dimension
+  /// check, the version stamp — and one result cache keyed by (op name,
+  /// kernel, k, `param`, point) at that version; only the
+  /// compute-and-render body differs:
+  ///
+  ///   certify:        greedy per-point cleaning certificate, `param` =
+  ///                   max_cleaned: {certified, label, cleaned: [ids]}
+  ///   q2:             Q2 label distribution on an engine leased from the
+  ///                   session's pool: {probs: [...], entropy}
+  ///   predict:        Q1 checking query: {certain, label} (label -1 when
+  ///                   worlds disagree)
+  ///   explain:        the minimal witness set determining the Q1 answer:
+  ///                   {certain, label, witnesses, support, minimal} —
+  ///                   restricting the dataset to `witnesses` reproduces
+  ///                   (certain, label) bit-for-bit, and removing any
+  ///                   single witness flips or un-certifies it
+  ///   why_certified:  explain plus the cleaning-decision audit trail (the
+  ///                   session's steps that fixed a witness tuple, with
+  ///                   each step's post-fix version and newly certified
+  ///                   validation points): {certified, label, witnesses,
+  ///                   minimal, trail: [{step, tuple, version,
+  ///                   newly_certain}]}
+  ///
+  /// Every result ends with the dataset `version` it was computed at.
+  Result<JsonValue> Read(const OpInfo& op, const std::vector<double>& point,
+                         int param = -1);
 
   /// Session snapshot: sizes, cleaning progress, the full resolved
   /// options, last-request timestamp, cache + engine-pool counters.
@@ -213,27 +215,17 @@ class ServeSession {
   /// instance): takes the exclusive lock (draining in-flight writers),
   /// marks the session retired — every later write op answers
   /// Unavailable("evicted; retry") instead of mutating an instance about
-  /// to be dropped — and, if `write_seq()` advanced past
-  /// `since_write_seq` (a write was acknowledged after the sweep's
-  /// snapshot was serialized), returns a fresh snapshot for the sweep to
-  /// re-save. Returns nullopt when the saved snapshot is already current.
-  /// Together with the dirty check this closes the save→drop window: an
-  /// acknowledged write is either in the first snapshot, in the re-save,
-  /// or was never acknowledged.
-  std::optional<std::string> RetireAndResnapshot(uint64_t since_write_seq);
-
-  /// The delta-aware variant of the commit point: takes the exclusive
-  /// lock, marks the session retired, and returns whether `write_seq()`
-  /// advanced past `since_write_seq` — i.e. whether the save the sweep
-  /// prepared is stale and must be re-prepared. Unlike
-  /// `RetireAndResnapshot` it serializes nothing; once retired no writer
-  /// can mutate the session, so the sweep re-prepares (delta or full) at
-  /// its leisure outside the exclusive lock.
+  /// to be dropped — and returns whether `write_seq()` advanced past
+  /// `since_write_seq`, i.e. whether a write was acknowledged after the
+  /// sweep prepared its save, which must then be re-prepared. Once
+  /// retired no writer can mutate the session, so the sweep re-prepares
+  /// (delta or full) outside the exclusive lock. Together with the dirty
+  /// check this closes the save→drop window: an acknowledged write is
+  /// either in the first save, in the re-save, or was never acknowledged.
   bool Retire(uint64_t since_write_seq);
 
-  /// Rolls back `Retire`/`RetireAndResnapshot` when the re-save could not
-  /// be written (the sweep re-publishes the session instead of dropping
-  /// it).
+  /// Rolls back `Retire` when the re-save could not be written (the sweep
+  /// re-publishes the session instead of dropping it).
   void Unretire();
 
  private:
@@ -243,17 +235,16 @@ class ServeSession {
   /// Stamps this request into the LRU bookkeeping.
   void Touch();
 
-  /// Cache-through helper: returns the cached value for `key` at
-  /// `version` or computes, inserts, and returns it. Runs under the
-  /// caller's (shared) lock; concurrent same-key misses recompute the
-  /// same bits.
-  template <typename Fn>
-  Result<JsonValue> Cached(const std::string& key, uint64_t version,
-                           Fn compute);
+  /// `Read`'s cache-miss path: op `op`'s compute-and-render body for
+  /// `point` at `version`. Runs under `Read`'s shared lock; concurrent
+  /// same-key misses recompute the same bits.
+  Result<JsonValue> ComputeRead(ReadOp op, const std::vector<double>& point,
+                                int param, uint64_t version);
 
-  /// `SerializeSnapshot` body; the caller holds `mu_` (either mode).
-  std::string SerializeSnapshotLocked(uint64_t* write_seq_out,
-                                      uint64_t* version_out = nullptr);
+  /// The shared clean_step / clean_run body: up to `limit` greedy steps
+  /// (-1 = until nothing is left or everything is certain). `run` selects
+  /// clean_run's contract — no minimum step count, a `steps` output field.
+  Result<JsonValue> CleanGreedy(int limit, bool run);
 
   const std::string name_;
   CleaningTask task_;

@@ -573,8 +573,8 @@ Result<std::shared_ptr<ServeSession>> SessionStore::Load(
   }
   std::ostringstream buffer;
   buffer << file.rdbuf();
-  CP_ASSIGN_OR_RETURN(DeserializedDatasetV2 parsed,
-                      DeserializeIncompleteDatasetV2(buffer.str()));
+  CP_ASSIGN_OR_RETURN(DeserializedDataset parsed,
+                      DeserializeIncompleteDataset(buffer.str()));
 
   // Replay the cleaning log (if any) onto the base before anything else:
   // the replayed dataset is the durable truth the rebuilt session must be
@@ -585,12 +585,6 @@ Result<std::shared_ptr<ServeSession>> SessionStore::Load(
   CP_ASSIGN_OR_RETURN(const LogScan scan, ScanCleaningLogForAppend(log_path));
   std::vector<int> log_fix_ids;
   if (!scan.records.empty()) {
-    if (!parsed.has_version) {
-      return Status::Internal(StrFormat(
-          "%s: a cleaning log exists but the base snapshot is pre-v3 and "
-          "carries no version to anchor replay",
-          path.c_str()));
-    }
     for (const MutationRecord& record : scan.records) {
       if (record.kind != MutationRecord::Kind::kFix) {
         // Serving sessions only ever fix examples; replaying anything
@@ -763,26 +757,22 @@ Result<std::shared_ptr<ServeSession>> SessionStore::Load(
       session->RestoreCleaning(cleaning_snapshot, parsed.dataset));
   // The on-disk state is now known-good: future saves of this session can
   // extend the log from the replayed version instead of rewriting the
-  // base. Pre-v3 bases carry no version, so their first save compacts.
-  if (parsed.has_version) {
-    // Version-determinism check: the rebuilt session must sit at exactly
-    // the version the base+log reached, or the next delta's sequence
-    // numbers would not line up with the log on disk.
-    const ServeSession::SnapshotDelta check =
-        session->SerializeDelta(parsed.dataset.version());
-    if (!check.available || check.version != parsed.dataset.version() ||
-        !check.records.empty()) {
-      return Status::Internal(StrFormat(
-          "session \"%s\": rebuilt working version %llu does not match the "
-          "durable version %llu",
-          name.c_str(), static_cast<unsigned long long>(check.version),
-          static_cast<unsigned long long>(parsed.dataset.version())));
-    }
-    std::lock_guard<std::mutex> lock(durable_mu_);
-    durable_[name] =
-        DurableState{base_version, parsed.dataset.version(),
-                     scan.durable_bytes};
+  // base. Version-determinism check: the rebuilt session must sit at
+  // exactly the version the base+log reached, or the next delta's sequence
+  // numbers would not line up with the log on disk.
+  const ServeSession::SnapshotDelta check =
+      session->SerializeDelta(parsed.dataset.version());
+  if (!check.available || check.version != parsed.dataset.version() ||
+      !check.records.empty()) {
+    return Status::Internal(StrFormat(
+        "session \"%s\": rebuilt working version %llu does not match the "
+        "durable version %llu",
+        name.c_str(), static_cast<unsigned long long>(check.version),
+        static_cast<unsigned long long>(parsed.dataset.version())));
   }
+  std::lock_guard<std::mutex> lock(durable_mu_);
+  durable_[name] = DurableState{base_version, parsed.dataset.version(),
+                                scan.durable_bytes};
   return session;
   }();
   if (result.ok()) {

@@ -202,6 +202,38 @@ TEST(ProtocolTest, ErrorPaths) {
             "Invalid argument");
 }
 
+/// Every per-point read op shares one prologue: a wrong-length point gets
+/// the same InvalidArgument before the result cache is consulted.
+class PointReadDimensionTest : public ::testing::TestWithParam<const char*> {
+};
+
+TEST_P(PointReadDimensionTest, WrongLengthPointFailsBeforeTheCache) {
+  Server server;
+  RespondOk(&server, CreateRequest("s"));
+  const std::string stats_request = "{\"op\":\"stats\",\"session\":\"s\"}";
+  const JsonValue before = RespondOk(&server, stats_request);
+  const JsonValue response = Respond(
+      &server, StrFormat("{\"op\":\"%s\",\"session\":\"s\",\"points\":"
+                         "[[1.0,2.0]]}",
+                         GetParam()));
+  ASSERT_NE(response.Find("error"), nullptr) << response.Dump();
+  const JsonValue& error = *response.Find("error");
+  EXPECT_EQ(error.Find("code")->string_value(), "Invalid argument");
+  EXPECT_EQ(error.Find("message")->string_value(),
+            StrFormat("point has 2 features, dataset has %d",
+                      static_cast<int>(before.Find("dim")->number_value())));
+  const JsonValue after = RespondOk(&server, stats_request);
+  EXPECT_EQ(after.Find("cache")->Find("misses")->number_value(),
+            before.Find("cache")->Find("misses")->number_value());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPointReadOps, PointReadDimensionTest,
+    ::testing::Values("certify", "q2", "predict", "explain", "why_certified"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param);
+    });
+
 TEST(ProtocolTest, ServedQueriesBitMatchDirectLibraryCalls) {
   NegativeEuclideanKernel kernel;
   const PreparedExperiment reference = MakeReference(kernel);

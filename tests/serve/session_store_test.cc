@@ -11,12 +11,12 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/string_util.h"
+#include "serve/op_registry.h"
 #include "serve/server.h"
 #include "serve/session_store.h"
 #include "tests/serve/serve_test_util.h"
@@ -321,7 +321,8 @@ TEST(SessionStoreTest, EvictedSessionRefusesLateWritesOnDetachedInstance) {
   EXPECT_NE(late.status().message().find("evicted"), std::string::npos);
   // Reads on the detached instance still answer (harmless, and version-
   // stamped like any read).
-  EXPECT_TRUE(detached->Q2(std::vector<double>(4, 0.0)).ok());
+  EXPECT_TRUE(
+      detached->Read(*FindOp("q2"), std::vector<double>(4, 0.0)).ok());
 
   // The retried write lands on the rehydrated incarnation and cleans the
   // exact tuple the refused write would have — nothing was lost or
@@ -336,10 +337,10 @@ TEST(SessionStoreTest, EvictedSessionRefusesLateWritesOnDetachedInstance) {
 }
 
 TEST(SessionStoreTest, WriteDuringEvictionSnapshotTriggersDirtyResave) {
-  // Deterministic replay of the sweep's interleaving: snapshot serialized,
-  // then a write lands (acknowledged), then the sweep retires. The dirty
-  // flag (write_seq advanced past the snapshot's) must force a re-save
-  // that contains the write.
+  // Deterministic replay of the sweep's interleaving: save prepared, then
+  // a write lands (acknowledged), then the sweep retires. The dirty flag
+  // (write_seq advanced past the save's) must force a re-save — the
+  // sweep's Retire + Save handshake — that contains the write.
   const std::string dir = FreshDataDir("dirty_resave");
   SessionStore store(SessionStoreOptions{dir, 0, 1024});
   const JsonValue spec =
@@ -367,11 +368,11 @@ TEST(SessionStoreTest, WriteDuringEvictionSnapshotTriggersDirtyResave) {
   EXPECT_GT(session->write_seq(), snapshot_write_seq);
 
   // Sweep phase 2: retire. The dirty flag must demand a re-save...
-  const std::optional<std::string> resnapshot =
-      session->RetireAndResnapshot(snapshot_write_seq);
-  ASSERT_TRUE(resnapshot.has_value());
-  ASSERT_TRUE(store.WriteSnapshot("d", *resnapshot).ok());
-  // ...and the re-saved snapshot carries the acknowledged write.
+  ASSERT_TRUE(session->Retire(snapshot_write_seq));
+  uint64_t resave_write_seq = 0;
+  ASSERT_TRUE(store.Save(*session, &resave_write_seq).ok());
+  EXPECT_EQ(resave_write_seq, session->write_seq());
+  // ...and the re-save carries the acknowledged write.
   const std::shared_ptr<ServeSession> rehydrated = store.Load("d").value();
   const JsonValue stats = rehydrated->Stats();
   EXPECT_EQ(static_cast<size_t>(stats.Find("num_cleaned")->number_value()),
@@ -380,7 +381,7 @@ TEST(SessionStoreTest, WriteDuringEvictionSnapshotTriggersDirtyResave) {
   // A clean (no write since serialization) retire needs no re-save.
   uint64_t clean_seq = 0;
   ASSERT_TRUE(store.Save(*rehydrated, &clean_seq).ok());
-  EXPECT_FALSE(rehydrated->RetireAndResnapshot(clean_seq).has_value());
+  EXPECT_FALSE(rehydrated->Retire(clean_seq));
   // Retired instances refuse writes; Unretire (the sweep's rollback when
   // the re-save fails) restores them.
   EXPECT_EQ(rehydrated->CleanStep(1).status().code(),
