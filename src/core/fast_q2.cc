@@ -27,8 +27,6 @@ FastQ2::FastQ2(const IncompleteDataset* dataset, int k, double epsilon)
   EnumerateTallies(num_labels_, k_, [this](const std::vector<int>& gamma) {
     tallies_.push_back({gamma, ArgMaxLabel(gamma)});
   });
-  scratch_a_.resize(static_cast<size_t>(width_));
-  scratch_b_.resize(static_cast<size_t>(width_));
   result_.resize(static_cast<size_t>(num_labels_));
 }
 
@@ -47,12 +45,15 @@ void FastQ2::Rebind() {
   }
   tree_size_.assign(static_cast<size_t>(num_labels_), 1);
   nodes_.assign(static_cast<size_t>(num_labels_), {});
+  dirty_.assign(static_cast<size_t>(num_labels_), {});
+  dirty_mark_.assign(static_cast<size_t>(num_labels_), {});
   for (int l = 0; l < num_labels_; ++l) {
     int size = 1;
     while (size < std::max(label_size[static_cast<size_t>(l)], 1)) size <<= 1;
     tree_size_[static_cast<size_t>(l)] = size;
     nodes_[static_cast<size_t>(l)].assign(
         static_cast<size_t>(2 * size * width_), 0.0);
+    dirty_mark_[static_cast<size_t>(l)].assign(static_cast<size_t>(size), 0);
   }
   InitTrees();
   above_.assign(static_cast<size_t>(n), 0);
@@ -77,54 +78,80 @@ void FastQ2::InitTrees() {
   }
 }
 
+namespace {
+
+// Whether p[0..w) is the constant polynomial 1 = [1, 0, ..., 0].
+bool IsIdentity(const double* p, int w) {
+  if (p[0] != 1.0) return false;
+  for (int c = 1; c < w; ++c) {
+    if (p[c] != 0.0) return false;
+  }
+  return true;
+}
+
+// The leaf of a tuple with fraction `frac` of its candidates above the
+// boundary: (1 - frac) + frac * x.
+void WriteLeaf(double* leaf, double frac, int w) {
+  leaf[0] = 1.0 - frac;
+  leaf[1] = frac;
+  std::fill(leaf + 2, leaf + w, 0.0);
+}
+
+}  // namespace
+
 template <int W>
-void FastQ2::SetLeaf(int label, int slot, double below, double above) {
+void FastQ2::Multiply(const double* a, const double* b, double* out) {
   const int w = W == 0 ? width_ : W;
-  auto& buf = nodes_[static_cast<size_t>(label)];
-  const int size = tree_size_[static_cast<size_t>(label)];
-  int node = size + slot;
-  {
-    double* leaf = &buf[static_cast<size_t>(node * w)];
-    leaf[0] = below;
-    if (w > 1) leaf[1] = above;
-    for (int c = 2; c < w; ++c) leaf[c] = 0.0;
+  // An identity operand makes the product a copy of the other operand,
+  // bit for bit: every coefficient is finite and non-negative (no -0.0),
+  // so the loop below would only add x * 1.0 and +0.0 terms onto +0.0.
+  if (IsIdentity(a, w)) {
+    std::memcpy(out, b, sizeof(double) * static_cast<size_t>(w));
+    ++counters_.identity_skips;
+    return;
   }
-  for (node >>= 1; node >= 1; node >>= 1) {
-    const double* left = &buf[static_cast<size_t>(2 * node * w)];
-    const double* right = &buf[static_cast<size_t>((2 * node + 1) * w)];
-    double* out = scratch_a_.data();
-    std::fill(out, out + w, 0.0);
-    for (int i = 0; i < w; ++i) {
-      if (left[i] == 0.0) continue;
-      const int jmax = w - i;
-      for (int j = 0; j < jmax; ++j) {
-        out[i + j] += left[i] * right[j];
-      }
+  if (IsIdentity(b, w)) {
+    if (out != a) {
+      std::memcpy(out, a, sizeof(double) * static_cast<size_t>(w));
     }
-    std::memcpy(&buf[static_cast<size_t>(node * w)], out,
-                sizeof(double) * static_cast<size_t>(w));
+    ++counters_.identity_skips;
+    return;
   }
+  ++counters_.multiplies;
+  // Accumulate off to the side: `out` may alias `a` (the boundary fold).
+  double acc[W == 0 ? kMaxK + 1 : W] = {};
+  for (int i = 0; i < w; ++i) {
+    if (a[i] == 0.0) continue;
+    const int jmax = w - i;
+    for (int j = 0; j < jmax; ++j) {
+      acc[i + j] += a[i] * b[j];
+    }
+  }
+  std::memcpy(out, acc, sizeof(double) * static_cast<size_t>(w));
 }
 
 template <int W>
-void FastQ2::ProductExcept(int label, int slot, double* out) const {
+void FastQ2::RestoreTouched() {
+  // Between queries every node is the identity (InitTrees), so the restore
+  // writes [1, 0, ...] up each touched leaf's path with no multiplies. The
+  // walk stops at the first node that already reads as the identity: an
+  // ancestor of a touched leaf not yet restored has a degree-0 coefficient
+  // below 1 (the leaf's 1 - above/m < 1 times factors <= 1), so only an
+  // earlier walk can have reset it — and that walk reset its ancestors too.
   const int w = W == 0 ? width_ : W;
-  const auto& buf = nodes_[static_cast<size_t>(label)];
-  const int size = tree_size_[static_cast<size_t>(label)];
-  std::fill(out, out + w, 0.0);
-  out[0] = 1.0;
-  double* tmp = scratch_b_.data();
-  for (int node = size + slot; node > 1; node >>= 1) {
-    const double* sibling = &buf[static_cast<size_t>((node ^ 1) * w)];
-    std::fill(tmp, tmp + w, 0.0);
-    for (int i = 0; i < w; ++i) {
-      if (out[i] == 0.0) continue;
-      const int jmax = w - i;
-      for (int j = 0; j < jmax; ++j) {
-        tmp[i + j] += out[i] * sibling[j];
-      }
+  for (const int i : touched_) {
+    above_[static_cast<size_t>(i)] = 0;
+    const int label = label_of_[static_cast<size_t>(i)];
+    double* nodes = nodes_[static_cast<size_t>(label)].data();
+    for (int node = tree_size_[static_cast<size_t>(label)] +
+                    slot_of_[static_cast<size_t>(i)];
+         node >= 1; node >>= 1) {
+      double* p = nodes + static_cast<size_t>(node * w);
+      if (IsIdentity(p, w)) break;
+      p[0] = 1.0;
+      std::fill(p + 1, p + w, 0.0);
+      ++counters_.restore_writes;
     }
-    std::memcpy(out, tmp, sizeof(double) * static_cast<size_t>(w));
   }
 }
 
@@ -208,16 +235,39 @@ void FastQ2::ProcessEntry(const ScoredCandidate& entry, bool pinned_here,
   const int num_labels = num_labels_;
   const int i = entry.tuple;
   const int b = label_of_[static_cast<size_t>(i)];
-  const int slot = slot_of_[static_cast<size_t>(i)];
   const int m = dataset_->num_candidates(i);
+  ++counters_.entries;
 
-  // scratch_a_ is clobbered by SetLeaf; boundary polynomials need their own
-  // storage that survives the tally loop.
+  // Move this candidate into the "above" region for later boundaries.
+  if (above_[static_cast<size_t>(i)] == 0) touched_.push_back(i);
+  const int above = ++above_[static_cast<size_t>(i)];
+  const double frac_above =
+      pinned_here ? 1.0 : static_cast<double>(above) / static_cast<double>(m);
+
+  // One leaf-to-root walk does two jobs. It folds each sibling into the
+  // boundary support for this candidate (the product over this label's
+  // other leaves: tuples scanned earlier are "above", the current tuple is
+  // pinned to this value), and it recomputes each parent over the updated
+  // leaf. The siblings are never on the path, so the boundary reads the
+  // same nodes it would have read before the leaf update.
+  double* nodes = nodes_[static_cast<size_t>(b)].data();
+  int node = tree_size_[static_cast<size_t>(b)] +
+             slot_of_[static_cast<size_t>(i)];
+  WriteLeaf(nodes + static_cast<size_t>(node * w), frac_above, w);
   double boundary[kMaxK + 1];
+  boundary[0] = 1.0;
+  std::fill(boundary + 1, boundary + w, 0.0);
+  for (; node > 1; node >>= 1) {
+    Multiply<W>(boundary, nodes + static_cast<size_t>((node ^ 1) * w),
+                boundary);
+    const int parent = node >> 1;
+    Multiply<W>(nodes + static_cast<size_t>(2 * parent * w),
+                nodes + static_cast<size_t>((2 * parent + 1) * w),
+                nodes + static_cast<size_t>(parent * w));
+  }
 
-  // Boundary support for this candidate: tuples scanned earlier are
-  // "above" (more similar); the current tuple is pinned to this value.
-  ProductExcept<W>(b, slot, boundary);
+  // Tally the boundary supports. Only the roots of the *other* labels are
+  // read, and the walk above touched none of them.
   const double pin_weight = pinned_here ? 1.0 : 1.0 / static_cast<double>(m);
   for (const Tally& tally : tallies_) {
     const int gb = tally.gamma[static_cast<size_t>(b)];
@@ -233,13 +283,6 @@ void FastQ2::ProcessEntry(const ScoredCandidate& entry, bool pinned_here,
     result_[static_cast<size_t>(tally.winner)] += support;
     *total += support;
   }
-
-  // Move this candidate into the "above" region for later boundaries.
-  if (above_[static_cast<size_t>(i)] == 0) touched_.push_back(i);
-  const int above = ++above_[static_cast<size_t>(i)];
-  const double frac_above =
-      pinned_here ? 1.0 : static_cast<double>(above) / static_cast<double>(m);
-  SetLeaf<W>(b, slot, 1.0 - frac_above, frac_above);
 }
 
 template <int W>
@@ -274,12 +317,7 @@ double FastQ2::RunQueryImpl(int pin_tuple, int pin_cand) {
     std::sort(last_support_.begin(), last_support_.end());
   }
 
-  // Restore the touched leaves and tallies for the next query.
-  for (int i : touched_) {
-    SetLeaf<W>(label_of_[static_cast<size_t>(i)],
-               slot_of_[static_cast<size_t>(i)], 1.0, 0.0);
-    above_[static_cast<size_t>(i)] = 0;
-  }
+  RestoreTouched<W>();
   return total;
 }
 
@@ -349,11 +387,7 @@ void FastQ2::SweepImpl(int pin_tuple) {
     std::fill(sweep_out_.begin(), sweep_out_.end(), entropy);
   } else {
     // Checkpoint the engine at the prefix boundary, then replay only the
-    // suffix per candidate and roll back in between. The rollback restores
-    // every leaf to bits identical to the checkpoint (same above/m
-    // division), and a segment tree node recomputed from bit-identical
-    // children reproduces its coefficients exactly — the same argument
-    // that makes the end-of-query restore in RunQueryImpl sound.
+    // suffix per candidate and roll back in between (RollBack).
     sweep_result_.assign(result_.begin(), result_.end());
     const double prefix_total = total;
     const size_t prefix_touched = touched_.size();
@@ -380,37 +414,76 @@ void FastQ2::SweepImpl(int pin_tuple) {
       }
       sweep_out_[static_cast<size_t>(j)] = ResultEntropy(run_total);
 
-      // Roll back to the checkpoint: reverse the above_ increments, then
-      // restore each distinct suffix-touched leaf to its checkpoint
-      // fraction (above == 0 gives the pristine (1, 0) leaf, which also
-      // covers the pinned tuple itself).
-      for (size_t t = sweep_log_.size(); t-- > 0;) {
-        --above_[static_cast<size_t>(sweep_log_[t])];
-      }
-      for (const int tuple : sweep_log_) {
-        if (sweep_mark_[static_cast<size_t>(tuple)] != 0) continue;
-        sweep_mark_[static_cast<size_t>(tuple)] = 1;
-        const int above = above_[static_cast<size_t>(tuple)];
-        const double frac =
-            static_cast<double>(above) /
-            static_cast<double>(dataset_->num_candidates(tuple));
-        SetLeaf<W>(label_of_[static_cast<size_t>(tuple)],
-                   slot_of_[static_cast<size_t>(tuple)], 1.0 - frac, frac);
-      }
-      for (const int tuple : sweep_log_) {
-        sweep_mark_[static_cast<size_t>(tuple)] = 0;
-      }
+      // The last suffix needs no rollback: the end-of-query restore below
+      // resets its touched paths together with the prefix's.
+      if (j + 1 == m) break;
+      RollBack<W>();
       touched_.resize(prefix_touched);
       std::copy(sweep_result_.begin(), sweep_result_.end(), result_.begin());
-      total = prefix_total;
     }
   }
 
-  // Standard end-of-query restore of the (prefix) touched leaves.
-  for (int t : touched_) {
-    SetLeaf<W>(label_of_[static_cast<size_t>(t)],
-               slot_of_[static_cast<size_t>(t)], 1.0, 0.0);
-    above_[static_cast<size_t>(t)] = 0;
+  // Standard end-of-query restore of every touched leaf.
+  RestoreTouched<W>();
+}
+
+template <int W>
+void FastQ2::RollBack() {
+  // Reverse the suffix's above_ increments, then write every
+  // suffix-touched leaf back to its checkpoint fraction (above == 0 gives
+  // the pristine (1, 0) leaf, which also covers the pinned tuple itself).
+  const int w = W == 0 ? width_ : W;
+  for (size_t t = sweep_log_.size(); t-- > 0;) {
+    --above_[static_cast<size_t>(sweep_log_[t])];
+  }
+  for (const int tuple : sweep_log_) {
+    if (sweep_mark_[static_cast<size_t>(tuple)] != 0) continue;
+    sweep_mark_[static_cast<size_t>(tuple)] = 1;
+    const int label = label_of_[static_cast<size_t>(tuple)];
+    const int node = tree_size_[static_cast<size_t>(label)] +
+                     slot_of_[static_cast<size_t>(tuple)];
+    const double frac =
+        static_cast<double>(above_[static_cast<size_t>(tuple)]) /
+        static_cast<double>(dataset_->num_candidates(tuple));
+    WriteLeaf(nodes_[static_cast<size_t>(label)].data() +
+                  static_cast<size_t>(node * w),
+              frac, w);
+    ++counters_.restore_writes;
+    auto& mark = dirty_mark_[static_cast<size_t>(label)];
+    const int parent = node >> 1;
+    if (parent >= 1 && mark[static_cast<size_t>(parent)] == 0) {
+      mark[static_cast<size_t>(parent)] = 1;
+      dirty_[static_cast<size_t>(label)].push_back(parent);
+    }
+  }
+  for (const int tuple : sweep_log_) {
+    sweep_mark_[static_cast<size_t>(tuple)] = 0;
+  }
+
+  // Recompute each dirty ancestor once, bottom-up. All leaves sit at one
+  // depth, so each pass holds exactly one level and runs only after every
+  // dirty child below it. A node recomputed from bit-identical children
+  // reproduces its checkpoint coefficients exactly.
+  for (int l = 0; l < num_labels_; ++l) {
+    std::vector<int>& level = dirty_[static_cast<size_t>(l)];
+    auto& mark = dirty_mark_[static_cast<size_t>(l)];
+    double* nodes = nodes_[static_cast<size_t>(l)].data();
+    while (!level.empty()) {
+      dirty_next_.clear();
+      for (const int node : level) {
+        mark[static_cast<size_t>(node)] = 0;
+        Multiply<W>(nodes + static_cast<size_t>(2 * node * w),
+                    nodes + static_cast<size_t>((2 * node + 1) * w),
+                    nodes + static_cast<size_t>(node * w));
+        ++counters_.restore_writes;
+        const int parent = node >> 1;
+        if (parent >= 1 && mark[static_cast<size_t>(parent)] == 0) {
+          mark[static_cast<size_t>(parent)] = 1;
+          dirty_next_.push_back(parent);
+        }
+      }
+      level.swap(dirty_next_);
+    }
   }
 }
 

@@ -31,9 +31,13 @@ namespace cpclean {
 ///    boundary candidates partition the worlds, and nearly all mass sits
 ///    at the most-similar candidates, so typically only O(K * M) of the
 ///    N*M scan entries are touched;
-///  * per-label segment trees live in flat double buffers; only leaves
-///    touched by a query are reset afterwards, so a query allocates
-///    nothing and costs O(touched * K^2 log N).
+///  * per-label segment trees live in flat double buffers, so a query
+///    allocates nothing. A multiply with an identity operand [1, 0, ...]
+///    (every untouched subtree) is a bit-exact copy and is skipped; each
+///    scanned entry walks its leaf-to-root path once, folding siblings into
+///    its boundary support and recomputing parents in the same walk; and
+///    the end-of-query restore writes the identity up the touched paths
+///    with no multiplies. A query costs at most O(touched * K^2 log N).
 ///
 /// K is capped at `kMaxK`: the boundary polynomial scratch is a fixed
 /// kMaxK+1 coefficients so queries stay allocation-free. Construction
@@ -105,6 +109,16 @@ class FastQ2 {
   void EnableSupportCapture(bool on) { capture_support_ = on; }
   const std::vector<int>& last_support() const { return last_support_; }
 
+  /// Deterministic work counters, cumulative over this engine's lifetime
+  /// (never reset by Rebind). Plain members: an engine serves one thread.
+  struct WorkCounters {
+    uint64_t entries = 0;         // scan entries processed
+    uint64_t multiplies = 0;      // truncated polynomial multiplies run
+    uint64_t identity_skips = 0;  // multiplies replaced by a copy
+    uint64_t restore_writes = 0;  // nodes written by restores and rollbacks
+  };
+  const WorkCounters& counters() const { return counters_; }
+
  private:
   /// Runs the scan; fills result_ with per-label world masses and returns
   /// the total collected mass. Dispatches to a width-specialized
@@ -122,17 +136,25 @@ class FastQ2 {
                     double* total);
   template <int W>
   void SweepImpl(int pin_tuple);
+  /// out[0..w) = a * b truncated to w coefficients; `out` may alias `a`.
+  /// Copies instead of multiplying when either operand is the identity.
+  template <int W>
+  void Multiply(const double* a, const double* b, double* out);
+  /// Resets every touched tuple's above_ count and writes the identity up
+  /// its leaf-to-root path (see the class comment).
+  template <int W>
+  void RestoreTouched();
+  /// SweepImpl's rollback to the checkpoint after one candidate's suffix:
+  /// rewrites the suffix-touched leaves, then recomputes each dirty
+  /// ancestor once, level by level.
+  template <int W>
+  void RollBack();
   std::vector<double> Run(int pin_tuple, int pin_cand);
   /// Entropy of result_ masses given their total (mirrors common Entropy).
   double ResultEntropy(double total) const;
   /// Extends the sorted descending prefix of scan_ to cover `idx`.
   void EnsureSorted(size_t idx);
   void InitTrees();
-  template <int W>
-  void SetLeaf(int label, int slot, double below, double above);
-  /// Writes prod over this label's leaves except `slot` into out[0..k_].
-  template <int W>
-  void ProductExcept(int label, int slot, double* out) const;
 
   const IncompleteDataset* dataset_;
   int k_;
@@ -158,8 +180,7 @@ class FastQ2 {
   };
   std::vector<Tally> tallies_;
 
-  // Scratch (sized in ctor) so queries allocate nothing.
-  mutable std::vector<double> scratch_a_, scratch_b_;
+  // Scratch so queries allocate nothing.
   std::vector<double> sims_;        // batched kernel output
   mutable std::vector<double> floor_scratch_;
   std::vector<int> touched_;
@@ -169,11 +190,18 @@ class FastQ2 {
 
   // EntropyPinnedSweep scratch: per-candidate entropies, the suffix replay
   // log (one tuple id per processed entry), dedup marks for the leaf
-  // rollback, and the checkpointed per-label masses.
+  // rollback, the checkpointed per-label masses, and the rollback's
+  // per-label dirty-node level lists with their dedup marks (indexed by
+  // internal node).
   std::vector<double> sweep_out_;
   std::vector<int> sweep_log_;
   std::vector<uint8_t> sweep_mark_;
   std::vector<double> sweep_result_;
+  std::vector<std::vector<int>> dirty_;
+  std::vector<int> dirty_next_;
+  std::vector<std::vector<uint8_t>> dirty_mark_;
+
+  WorkCounters counters_;
 };
 
 }  // namespace cpclean

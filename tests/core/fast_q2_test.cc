@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "common/stats.h"
 #include "core/brute_force.h"
@@ -134,8 +138,235 @@ TEST_P(FastQ2Test, EntropyPinnedSweepBitMatchesPerCandidateCalls) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FastQ2Test,
                          ::testing::Combine(::testing::Range(1, 9),
-                                            ::testing::Values(1, 3, 5),
+                                            ::testing::Values(1, 2, 3, 4, 5,
+                                                              7),
                                             ::testing::Values(2, 3)));
+
+// The `n` dirty tuples most similar to the bound test point (ties broken
+// by id), i.e. the pins whose candidates the truncated scan actually reaches.
+std::vector<int> MostSimilarDirty(const IncompleteDataset& dataset,
+                                  const FastQ2& engine, size_t n) {
+  std::vector<int> dirty = dataset.DirtyExamples();
+  std::stable_sort(dirty.begin(), dirty.end(), [&](int a, int b) {
+    return engine.MaxSimilarity(a) > engine.MaxSimilarity(b);
+  });
+  dirty.resize(std::min(n, dirty.size()));
+  return dirty;
+}
+
+void AppendBits(const std::vector<double>& values, std::vector<uint64_t>* out) {
+  for (const double v : values) out->push_back(Bits(v));
+}
+
+std::string FormatBits(const std::vector<uint64_t>& bits) {
+  std::string text;
+  char buf[32];
+  for (size_t i = 0; i < bits.size(); ++i) {
+    std::snprintf(buf, sizeof(buf), "0x%016" PRIx64 "ULL,%s", bits[i],
+                  i % 3 == 2 ? "\n" : " ");
+    text += buf;
+  }
+  return text;
+}
+
+// Every answer the engine gives on one fixed ~300-row, k=3 instance, as
+// raw bits in a fixed order: Fractions(), FractionsPinned over every
+// candidate of the two tuples nearest the test point, and
+// EntropyPinnedSweep for the four nearest dirty tuples plus one far one
+// (whose sweep ends inside the shared prefix).
+std::vector<uint64_t> GoldenInstanceBits(double epsilon) {
+  RandomDatasetSpec spec;
+  spec.num_examples = 300;
+  spec.max_candidates = 3;
+  spec.num_labels = 3;
+  spec.seed = 2034;
+  const IncompleteDataset dataset = MakeRandomDataset(spec);
+  const std::vector<double> t = MakeRandomTestPoint(spec.dim, 2034);
+  NegativeEuclideanKernel kernel;
+  FastQ2 engine(&dataset, /*k=*/3, epsilon);
+  engine.SetTestPoint(t, kernel);
+
+  std::vector<uint64_t> bits;
+  AppendBits(engine.Fractions(), &bits);
+  const std::vector<int> near = MostSimilarDirty(dataset, engine, 4);
+  for (size_t p = 0; p < 2; ++p) {
+    for (int j = 0; j < dataset.num_candidates(near[p]); ++j) {
+      AppendBits(engine.FractionsPinned(near[p], j), &bits);
+    }
+  }
+  std::vector<int> swept = near;
+  swept.push_back(dataset.DirtyExamples().back());
+  for (const int i : swept) AppendBits(engine.EntropyPinnedSweep(i), &bits);
+
+  // The engine that answered everything above must give a new test point
+  // the same bits as a brand-new engine: every query restored its trees.
+  const std::vector<double> t2 = MakeRandomTestPoint(spec.dim, 77);
+  engine.SetTestPoint(t2, kernel);
+  FastQ2 fresh(&dataset, /*k=*/3, epsilon);
+  fresh.SetTestPoint(t2, kernel);
+  EXPECT_EQ(engine.Fractions(), fresh.Fractions());
+  for (const int i : MostSimilarDirty(dataset, fresh, 3)) {
+    EXPECT_EQ(engine.EntropyPinnedSweep(i), fresh.EntropyPinnedSweep(i))
+        << "tuple " << i;
+  }
+  return bits;
+}
+
+// Recorded from the engine before its support-tree loops were rewritten
+// (identity-operand skipping, the fused boundary/path walk and the
+// multiply-free restore), so this pins the rewrite to the old bits.
+TEST(FastQ2GoldenBitsTest, MatchesRecordedBits) {
+  const std::vector<uint64_t> want = {
+      0x3fd78d8eb5eed148ULL, 0x3fda38be8f6f4778ULL, 0x3fcc73657543ce8fULL,
+      0x3fd010db20a88f45ULL, 0x3fe54a1894e4f5d1ULL, 0x3fb56bced636145dULL,
+      0x3fdb4be88091f23eULL, 0x3fd20b054241f55fULL, 0x3fd2a9123d2c185dULL,
+      0x3fdb4be88091f23eULL, 0x3fd20b054241f55fULL, 0x3fd2a9123d2c185dULL,
+      0x3fd010db20a88f45ULL, 0x3fe54a1894e4f5d1ULL, 0x3fb56bced636145dULL,
+      0x3fdb4be88091f23eULL, 0x3fd20b054241f55fULL, 0x3fd2a9123d2c185dULL,
+      0x3fdb4be88091f23eULL, 0x3fd20b054241f55fULL, 0x3fd2a9123d2c185dULL,
+      0x3fea6bf28e93d218ULL, 0x3ff1469c65a9d315ULL, 0x3ff1469c65a9d315ULL,
+      0x3fea6bf28e93d218ULL, 0x3ff1469c65a9d315ULL, 0x3ff1469c65a9d315ULL,
+      0x3ff18fbb13a01f8fULL, 0x3feed08af8a67e19ULL, 0x3fea6bf28e93d218ULL,
+      0x3ff1469c65a9d315ULL, 0x3ff1469c65a9d315ULL, 0x3ff1156bf9deb904ULL,
+      0x3ff1156bf9deb904ULL,
+  };
+  // On this instance the collected mass reaches 1.0 at the entry where
+  // epsilon 1e-9 stops, so epsilon 0 stops there too with the same bits.
+  for (const double epsilon : {1e-9, 0.0}) {
+    const std::vector<uint64_t> got = GoldenInstanceBits(epsilon);
+    EXPECT_EQ(got, want) << "epsilon " << epsilon << " bits:\n"
+                         << FormatBits(got);
+  }
+}
+
+class FastQ2DeepTreeTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FastQ2DeepTreeTest, SweepsAndRestoresStayBitExact) {
+  // >= 256 tuples per label make 9-level trees, so a sweep's suffix
+  // replays dirty long paths that share ancestors across many levels.
+  // Single-candidate tuples reach above == m (the [0, 1, 0, ...] leaf) at
+  // their first entry.
+  const int k = GetParam();
+  RandomDatasetSpec spec;
+  spec.num_examples = 640;
+  spec.max_candidates = 3;
+  spec.num_labels = 2;
+  spec.seed = 31;
+  const IncompleteDataset dataset = MakeRandomDataset(spec);
+  for (int l = 0; l < spec.num_labels; ++l) {
+    int rows = 0;
+    for (int i = 0; i < dataset.num_examples(); ++i) {
+      rows += dataset.label(i) == l ? 1 : 0;
+    }
+    ASSERT_GE(rows, 256) << "label " << l;
+  }
+  const std::vector<double> t = MakeRandomTestPoint(spec.dim, 31);
+  NegativeEuclideanKernel kernel;
+
+  for (const double epsilon : {0.0, 1e-9}) {
+    FastQ2 sweep_engine(&dataset, k, epsilon);
+    FastQ2 ref_engine(&dataset, k, epsilon);
+    sweep_engine.SetTestPoint(t, kernel);
+    ref_engine.SetTestPoint(t, kernel);
+    if (epsilon == 0.0) {
+      const std::vector<double> got = sweep_engine.Fractions();
+      const std::vector<double> want =
+          SsDcCount<DoubleSemiring, true>(dataset, t, kernel, k).Fractions();
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t y = 0; y < want.size(); ++y) {
+        EXPECT_NEAR(got[y], want[y], 1e-9) << "label " << y;
+      }
+    }
+    std::vector<int> tuples = MostSimilarDirty(dataset, sweep_engine, 12);
+    for (int i = 0; i < dataset.num_examples(); i += 40) tuples.push_back(i);
+    for (const int i : tuples) {
+      const std::vector<double> got = sweep_engine.EntropyPinnedSweep(i);
+      for (int j = 0; j < dataset.num_candidates(i); ++j) {
+        EXPECT_EQ(Bits(got[static_cast<size_t>(j)]),
+                  Bits(ref_engine.EntropyPinned(i, j)))
+            << "epsilon " << epsilon << " pin (" << i << "," << j << ")";
+      }
+    }
+    // After all of that, both engines must be back to pristine trees.
+    const std::vector<double> t2 = MakeRandomTestPoint(spec.dim, 32);
+    sweep_engine.SetTestPoint(t2, kernel);
+    FastQ2 fresh(&dataset, k, epsilon);
+    fresh.SetTestPoint(t2, kernel);
+    EXPECT_EQ(sweep_engine.Fractions(), fresh.Fractions())
+        << "epsilon " << epsilon;
+    const int near = MostSimilarDirty(dataset, fresh, 1).front();
+    EXPECT_EQ(sweep_engine.EntropyPinnedSweep(near),
+              fresh.EntropyPinnedSweep(near))
+        << "epsilon " << epsilon;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, FastQ2DeepTreeTest,
+                         ::testing::Values(1, 3, 4));
+
+FastQ2::WorkCounters CountersDelta(const FastQ2::WorkCounters& before,
+                                   const FastQ2::WorkCounters& after) {
+  return {after.entries - before.entries,
+          after.multiplies - before.multiplies,
+          after.identity_skips - before.identity_skips,
+          after.restore_writes - before.restore_writes};
+}
+
+TEST(FastQ2CountersTest, RepeatExactlyAcrossRepeatedQueries) {
+  RandomDatasetSpec spec;
+  spec.num_examples = 200;
+  spec.num_labels = 3;
+  spec.seed = 5;
+  const IncompleteDataset dataset = MakeRandomDataset(spec);
+  NegativeEuclideanKernel kernel;
+  FastQ2 engine(&dataset, /*k=*/3, 1e-9);
+  engine.SetTestPoint(MakeRandomTestPoint(spec.dim, 5), kernel);
+  const int pin = MostSimilarDirty(dataset, engine, 1).front();
+
+  const auto run_all = [&] {
+    const FastQ2::WorkCounters before = engine.counters();
+    engine.Fractions();
+    engine.FractionsPinned(pin, 0);
+    engine.EntropyPinnedSweep(pin);
+    return CountersDelta(before, engine.counters());
+  };
+  const FastQ2::WorkCounters first = run_all();
+  const FastQ2::WorkCounters second = run_all();
+  EXPECT_GT(first.entries, 0u);
+  EXPECT_GT(first.multiplies, 0u);
+  EXPECT_GT(first.identity_skips, 0u);
+  EXPECT_GT(first.restore_writes, 0u);
+  EXPECT_EQ(first.entries, second.entries);
+  EXPECT_EQ(first.multiplies, second.multiplies);
+  EXPECT_EQ(first.identity_skips, second.identity_skips);
+  EXPECT_EQ(first.restore_writes, second.restore_writes);
+}
+
+TEST(FastQ2CountersTest, SweepMultipliesNoMoreThanPerCandidateCalls) {
+  RandomDatasetSpec spec;
+  spec.num_examples = 200;
+  spec.num_labels = 3;
+  spec.seed = 6;
+  const IncompleteDataset dataset = MakeRandomDataset(spec);
+  NegativeEuclideanKernel kernel;
+  for (const double epsilon : {0.0, 1e-9}) {
+    FastQ2 engine(&dataset, /*k=*/3, epsilon);
+    engine.SetTestPoint(MakeRandomTestPoint(spec.dim, 6), kernel);
+    for (const int i : MostSimilarDirty(dataset, engine, 8)) {
+      FastQ2::WorkCounters before = engine.counters();
+      engine.EntropyPinnedSweep(i);
+      const uint64_t sweep =
+          CountersDelta(before, engine.counters()).multiplies;
+      before = engine.counters();
+      for (int j = 0; j < dataset.num_candidates(i); ++j) {
+        engine.EntropyPinned(i, j);
+      }
+      const uint64_t separate =
+          CountersDelta(before, engine.counters()).multiplies;
+      EXPECT_LE(sweep, separate) << "epsilon " << epsilon << " tuple " << i;
+    }
+  }
+}
 
 TEST(FastQ2PruningTest, TopKFloorSoundness) {
   // Tuples whose max similarity sits below the top-K floor cannot change

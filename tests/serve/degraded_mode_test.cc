@@ -92,7 +92,11 @@ TEST_F(DegradedModeTest, FailedWritesLeavePreviousSnapshotIntact) {
   const std::string dir = FreshDataDir("atomic");
   // Short backoff so the store is writable again quickly after each
   // injected failure.
-  SessionStore store({dir, 0, 1024, 30, 120});
+  SessionStoreOptions options;
+  options.data_dir = dir;
+  options.degraded_backoff_initial_ms = 30;
+  options.degraded_backoff_max_ms = 120;
+  SessionStore store(options);
 
   ASSERT_TRUE(store.WriteSnapshot("s", "v1\n").ok());
   const std::string path = store.PathFor("s");
@@ -121,7 +125,11 @@ TEST_F(DegradedModeTest, FailedWritesLeavePreviousSnapshotIntact) {
 
 TEST_F(DegradedModeTest, DegradedModeFastFailsThenProbesAndHeals) {
   const std::string dir = FreshDataDir("degraded_fsm");
-  SessionStore store({dir, 0, 1024, 50, 200});
+  SessionStoreOptions options;
+  options.data_dir = dir;
+  options.degraded_backoff_initial_ms = 50;
+  options.degraded_backoff_max_ms = 200;
+  SessionStore store(options);
 
   const auto site_hits = [] {
     for (const auto& s : FaultInjection::Stats()) {

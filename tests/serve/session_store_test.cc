@@ -342,7 +342,9 @@ TEST(SessionStoreTest, WriteDuringEvictionSnapshotTriggersDirtyResave) {
   // (write_seq advanced past the save's) must force a re-save — the
   // sweep's Retire + Save handshake — that contains the write.
   const std::string dir = FreshDataDir("dirty_resave");
-  SessionStore store(SessionStoreOptions{dir, 0, 1024});
+  SessionStoreOptions store_options;
+  store_options.data_dir = dir;
+  SessionStore store(store_options);
   const JsonValue spec =
       ParseJson(StrFormat(
                     "{\"session\":\"d\",\"source\":\"synthetic\",\"dataset\":"
