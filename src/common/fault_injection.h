@@ -56,6 +56,11 @@ namespace cpclean {
 ///       write, EAGAIN storms, partial writes)
 ///   serve.exec
 ///       request execution stall (sleep rules only make sense here)
+///   lifecycle.load / lifecycle.save / lifecycle.evict
+///       session-lifecycle scheduling points (sleep rules only; they never
+///       fail): between a rehydration's snapshot load and its publication,
+///       between a save's preparation and its commit, and between the
+///       eviction sweep's save preparation and the victim's retirement
 ///   compute.selection_scores
 ///       first compute-layer site: throws std::runtime_error from the
 ///       greedy selection kernel (failure rules exercise exception

@@ -92,6 +92,7 @@ Result<std::shared_ptr<ServeSession>> Server::FindSession(
   // lifecycle transition; publication re-validates under the lock.
   CP_ASSIGN_OR_RETURN(std::shared_ptr<ServeSession> session,
                       store_.Load(name));
+  (void)FaultHit("lifecycle.load");  // sleep-only scheduling point
   {
     std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
     live = registry_.Get(name);  // re-check: another request rehydrated it
@@ -312,6 +313,7 @@ Result<JsonValue> Server::LoadSession(const JsonValue& req) {
   // As in FindSession: load outside the lifecycle lock, publish under it.
   CP_ASSIGN_OR_RETURN(const std::shared_ptr<ServeSession> session,
                       store_.Load(name));
+  (void)FaultHit("lifecycle.load");  // sleep-only scheduling point
   {
     std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
     if (!store_.Saved(name)) {

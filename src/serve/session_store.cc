@@ -276,6 +276,7 @@ Status SessionStore::Save(ServeSession& session, uint64_t* write_seq_out,
   }
   std::lock_guard<std::mutex> order(save_order_mu_);
   CP_ASSIGN_OR_RETURN(PendingSave pending, PrepareSave(session));
+  (void)FaultHit("lifecycle.save");  // sleep-only scheduling point
   std::unique_lock<std::mutex> commit_lock;
   if (commit_mu != nullptr) {
     commit_lock = std::unique_lock<std::mutex>(*commit_mu);
@@ -894,6 +895,7 @@ Result<std::vector<std::string>> SessionStore::EnforceCapacity(
     Result<PendingSave> prepared = PrepareSave(*victim);
     if (!prepared.ok()) return prepared.status();
     PendingSave pending = std::move(prepared).value();
+    (void)FaultHit("lifecycle.evict");  // sleep-only scheduling point
     if (victim->last_request_seq() != seq_before_save && retries_left > 0) {
       --retries_left;
       // A request landed while the save was being prepared — the session
