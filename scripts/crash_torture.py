@@ -35,6 +35,15 @@ rename committed before the kill is always a state the script can verify.
                   log into a fresh base snapshot; kills land between the
                   base rename and the log unlink, leaving stale logs whose
                   records must replay as no-ops.
+  multi           the server runs with --max-sessions=1 and two client
+                  threads each clean, save, drop and re-create their own
+                  session, so every request on one session evicts the
+                  other: kills land among concurrent saves, evictions,
+                  rehydrations and drops. Each session's states are
+                  precomputed on a reference server (cleaning is
+                  deterministic), so a restart may land on any state at or
+                  past the last acknowledged save -- and a session whose
+                  drop was acknowledged must stay gone.
 
 Stdlib only. Exit 0 with a summary, non-zero with a diagnosis.
 
@@ -126,19 +135,212 @@ def tmp_litter(data_dir):
     return sorted(glob.glob(os.path.join(data_dir, "*.tmp")))
 
 
-def q2_bits(client):
-    """The session's q2 answers for every validation index, raw bytes."""
+def q2_reply(client, name="t"):
+    """(error code or None, the session's q2 answers for every validation
+    index as raw bytes)."""
     bits = []
     for v in range(4):
         response = client.rpc(
-            '{"op":"q2","session":"t","val_indices":[%d]}' % v
+            '{"op":"q2","session":"%s","val_indices":[%d]}' % (name, v)
         )
         parsed = json.loads(response)
         if parsed.get("ok") is not True:
-            raise SystemExit("q2 failed: %s" % response)
+            return parsed.get("error", {}).get("code", response), None
         bits.append(json.dumps(parsed["result"]["results"][0],
                                sort_keys=True))
-    return "\n".join(bits)
+    return None, "\n".join(bits)
+
+
+def q2_bits(client, name="t"):
+    code, bits = q2_reply(client, name)
+    if code is not None:
+        raise SystemExit("q2 %s failed: %s" % (name, code))
+    return bits
+
+
+class Failure(Exception):
+    """A torture property broke (as opposed to the kill landing)."""
+
+
+def rpc_ok(client, line):
+    parsed = json.loads(client.rpc(line))
+    if parsed.get("ok") is not True:
+        raise Failure("%s failed: %s" % (line, parsed.get("error")))
+    return parsed["result"]
+
+
+def multi_create(name):
+    seed = 7 + MULTI_NAMES.index(name)
+    return CREATE.replace('"session":"t"', '"session":"%s"' % name).replace(
+        '"seed":7', '"seed":%d' % seed)
+
+
+MULTI_NAMES = ("t", "u")
+
+
+def reference_states(server, name):
+    """Every state `name` passes through while cleaning to exhaustion, as
+    q2 bits by state index, from a server with no eviction."""
+    data_dir = tempfile.mkdtemp(prefix="cpclean_torture_ref_")
+    proc, port = start_server(server, data_dir)
+    try:
+        client = Client(port)
+        rpc_ok(client, multi_create(name))
+        states = [q2_bits(client, name)]
+        while rpc_ok(client, '{"op":"clean_step","session":"%s"}'
+                     % name)["cleaned"]:
+            states.append(q2_bits(client, name))
+        client.close()
+    finally:
+        stop(proc)
+        shutil.rmtree(data_dir, ignore_errors=True)
+    return states
+
+
+class SessionTorture:
+    """One session's client loop for --mode multi, and what it owes: the
+    state index of the last acknowledged save, and whether a drop was
+    acknowledged since (the session must then stay gone)."""
+
+    def __init__(self, name, states):
+        self.name = name
+        self.states = states
+        self.acked = -1          # no save owed yet
+        self.gone = False        # drop acknowledged, no create issued since
+        self.dropping = False    # drop issued, not acknowledged
+        self.counts = {"saves": 0, "drops": 0, "creates": 0, "retries": 0}
+        self.error = None
+
+    def check_restart(self, client):
+        """The state index the session rehydrated to; None when absent."""
+        code, bits = q2_reply(client, self.name)
+        if code == "Not found":
+            if self.acked >= 0 and not self.dropping:
+                raise Failure("%s is gone but step %d was acknowledged saved"
+                              % (self.name, self.acked))
+            self.acked, self.dropping = -1, False
+            return None
+        if code is not None:
+            raise Failure("%s did not rehydrate: %s" % (self.name, code))
+        if self.gone:
+            raise Failure("%s came back after its acknowledged drop"
+                          % self.name)
+        if bits not in self.states:
+            raise Failure("%s rehydrated to an unknown (torn?) state:\n%s"
+                          % (self.name, bits))
+        step = self.states.index(bits)
+        if step < self.acked:
+            raise Failure("%s rehydrated to step %d but step %d was "
+                          "acknowledged saved" % (self.name, step, self.acked))
+        self.dropping = False
+        return step
+
+    def run(self, port):
+        try:
+            client = Client(port)
+            step = self.check_restart(client)
+            while True:
+                if step is None:
+                    self.gone = False
+                    rpc_ok(client, multi_create(self.name))
+                    self.counts["creates"] += 1
+                    step = 0
+                elif step == len(self.states) - 1:
+                    self.dropping = True
+                    rpc_ok(client, '{"op":"drop_session","session":"%s"}'
+                           % self.name)
+                    self.acked, self.gone, self.dropping = -1, True, False
+                    self.counts["drops"] += 1
+                    step = None
+                    continue
+                else:
+                    parsed = json.loads(client.rpc(
+                        '{"op":"clean_step","session":"%s"}' % self.name))
+                    if parsed.get("ok") is not True:
+                        # A write on the instance the sweep just retired:
+                        # never applied, retried on the next incarnation.
+                        if parsed["error"]["code"] != "Unavailable":
+                            raise Failure("clean_step %s: %s"
+                                          % (self.name, parsed["error"]))
+                        self.counts["retries"] += 1
+                        time.sleep(0.001)
+                        continue
+                    step += 1
+                if q2_bits(client, self.name) != self.states[step]:
+                    raise Failure("%s diverged from its reference at step %d"
+                                  % (self.name, step))
+                # Touching this session evicted the other one; now save it
+                # ("evicted" also means durable: the sweep saved it after
+                # our last acknowledged write).
+                rpc_ok(client, '{"op":"save_session","session":"%s"}'
+                       % self.name)
+                self.acked = step
+                self.counts["saves"] += 1
+        except Failure as failure:
+            self.error = str(failure)
+        except (ConnectionError, OSError, ValueError, KeyError):
+            pass  # the kill landed
+
+
+def run_multi(args, data_dir):
+    extra_args = ["--max-sessions=1"]
+    tortures = [SessionTorture(n, reference_states(args.server, n))
+                for n in MULTI_NAMES]
+    kills_with_litter = 0
+    for iteration in range(args.iterations):
+        rng = random.Random(args.seed * 100003 + iteration)
+        proc, port = start_server(args.server, data_dir, extra_args)
+        try:
+            litter = tmp_litter(data_dir)
+            if litter:
+                raise SystemExit(
+                    "iteration %d: startup sweep left temp litter: %s"
+                    % (iteration, litter))
+            threads = [threading.Thread(target=t.run, args=(port,))
+                       for t in tortures]
+            timer = threading.Timer(rng.uniform(0.01, 0.25), proc.kill)
+            timer.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            timer.cancel()
+        finally:
+            stop(proc)
+        for t in tortures:
+            if t.error is not None:
+                raise SystemExit("iteration %d: %s" % (iteration, t.error))
+        if tmp_litter(data_dir):
+            kills_with_litter += 1
+
+    # Final restart: both sessions must still rehydrate clean (or stay
+    # gone).
+    proc, port = start_server(args.server, data_dir, extra_args)
+    try:
+        if tmp_litter(data_dir):
+            raise SystemExit("final restart left temp litter")
+        client = Client(port)
+        for t in tortures:
+            try:
+                t.check_restart(client)
+            except Failure as failure:
+                raise SystemExit("final restart: %s" % failure)
+        client.close()
+    finally:
+        stop(proc)
+    print(
+        "crash torture OK (mode=multi): %d kill/restart cycles over %s, "
+        "%s, %d kills left temp litter (all swept on restart)"
+        % (args.iterations, data_dir,
+           "; ".join("%s: %d states, %d saves, %d creates, %d drops, %d "
+                     "retried writes" % (t.name, len(t.states),
+                                         t.counts["saves"],
+                                         t.counts["creates"],
+                                         t.counts["drops"],
+                                         t.counts["retries"])
+                     for t in tortures),
+           kills_with_litter)
+    )
 
 
 def main():
@@ -153,7 +355,8 @@ def main():
                         help="seeds the kill-timing schedule")
     parser.add_argument("--data-dir", default=None,
                         help="persistent dir (default: a fresh tempdir)")
-    parser.add_argument("--mode", choices=("save", "evict", "compact"),
+    parser.add_argument("--mode",
+                        choices=("save", "evict", "compact", "multi"),
                         default="save",
                         help="which persistence path the kills land in")
     args = parser.parse_args()
@@ -168,6 +371,12 @@ def main():
     if args.data_dir is None:
         shutil.rmtree(data_dir, ignore_errors=True)
     os.makedirs(data_dir, exist_ok=True)
+
+    if args.mode == "multi":
+        run_multi(args, data_dir)
+        if args.data_dir is None:
+            shutil.rmtree(data_dir, ignore_errors=True)
+        return 0
 
     # Every state the session has ever been in: q2 bits -> step index. A
     # rehydrated session must land on one of these, at or past `acked`.

@@ -46,7 +46,7 @@ struct OpHandlers {
     }
     CP_ASSIGN_OR_RETURN(const std::string name, RequestSessionName(req));
     CP_ASSIGN_OR_RETURN(const std::shared_ptr<ServeSession> session,
-                        server.FindSession(name));
+                        server.registry().Find(name));
     CP_ASSIGN_OR_RETURN(
         const std::vector<std::vector<double>> points,
         ResolveRequestPoints(
@@ -66,7 +66,7 @@ struct OpHandlers {
                                      const JsonValue& req) {
     CP_ASSIGN_OR_RETURN(const std::string name, RequestSessionName(req));
     CP_ASSIGN_OR_RETURN(const std::shared_ptr<ServeSession> session,
-                        server.FindSession(name));
+                        server.registry().Find(name));
     CP_ASSIGN_OR_RETURN(const int steps, RequestSteps(req));
     return session->CleanStep(steps);
   }
@@ -75,7 +75,7 @@ struct OpHandlers {
                                     const JsonValue& req) {
     CP_ASSIGN_OR_RETURN(const std::string name, RequestSessionName(req));
     CP_ASSIGN_OR_RETURN(const std::shared_ptr<ServeSession> session,
-                        server.FindSession(name));
+                        server.registry().Find(name));
     CP_ASSIGN_OR_RETURN(const int budget, RequestBudget(req));
     return session->CleanRun(budget);
   }

@@ -28,8 +28,9 @@ enum class OpClass {
   /// Session exclusive lock: bumps the dataset mutation version, retiring
   /// cached answers and engine bindings.
   kWrite,
-  /// Server-wide lifecycle mutex: create/drop/save/load publication and
-  /// eviction (expensive work runs outside the lock).
+  /// A transition of the session table (`SessionRegistry`), under its one
+  /// mutex: create/drop/save/load publication and eviction (task builds,
+  /// snapshot IO and session locks run outside the mutex).
   kLifecycle,
   /// No session state touched: registry/store/process-global reads only.
   kStateless,

@@ -65,6 +65,7 @@ SessionStoreOptions StoreOptionsFrom(const ServerOptions& options) {
 Server::Server(ServerOptions options)
     : options_(options),
       store_(StoreOptionsFrom(options)),
+      registry_(&store_),
       start_ns_(MonotonicNowNs()) {
   // Faults asked for in the environment apply to every transport this
   // server runs (a no-op unless CPCLEAN_FAULTS is set).
@@ -80,56 +81,11 @@ Server::~Server() {
   conn_cv_.wait(lock, [this] { return !serving_; });
 }
 
-Result<std::shared_ptr<ServeSession>> Server::FindSession(
-    const std::string& name) {
-  // Fast path, no lifecycle lock: live sessions answer queries without
-  // ever contending with lifecycle transitions.
-  Result<std::shared_ptr<ServeSession>> live = registry_.Get(name);
-  if (live.ok() || !store_.enabled() || !store_.Saved(name)) return live;
-  // Evicted (or persisted by a previous process): rehydrate lazily. The
-  // expensive load (task rebuild + cleaning replay) runs OUTSIDE the
-  // lifecycle lock so a slow rehydration cannot stall every other
-  // lifecycle transition; publication re-validates under the lock.
-  CP_ASSIGN_OR_RETURN(std::shared_ptr<ServeSession> session,
-                      store_.Load(name));
-  (void)FaultHit("lifecycle.load");  // sleep-only scheduling point
-  {
-    std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
-    live = registry_.Get(name);  // re-check: another request rehydrated it
-    if (live.ok()) return live;
-    if (!store_.Saved(name)) {
-      // A drop_session raced the load: publishing our copy would resurrect
-      // a session the client was told is gone.
-      return Status::NotFound(StrFormat(
-          "session \"%s\" was dropped while being rehydrated", name.c_str()));
-    }
-    CP_RETURN_NOT_OK(registry_.Insert(session));
-  }
-  // Rehydration can push the registry over capacity in turn; the sweep
-  // runs after the lifecycle lock is released (it takes the lock itself
-  // around its commit). Best effort: if the sweep's victim fails to save,
-  // the registry stays briefly over capacity rather than failing this
-  // (unrelated) request — the next create_session surfaces the store
-  // error.
-  (void)store_.EnforceCapacity(registry_, lifecycle_mu_);
-  return session;
-}
-
 Result<JsonValue> Server::CreateSession(const JsonValue& req) {
   CP_ASSIGN_OR_RETURN(const std::string name, RequestString(req, "session"));
-  // Admission before the (expensive) task build: a full session table with
-  // no disk to evict into must refuse loudly, not grow without bound.
-  if (options_.max_sessions > 0 && !store_.enabled() &&
-      registry_.size() >= options_.max_sessions) {
-    return Status::Unavailable(StrFormat(
-        "session table is full (--max-sessions=%d) and no --data-dir is "
-        "configured to evict into",
-        static_cast<int>(options_.max_sessions)));
-  }
-  if (registry_.Get(name).ok() || store_.Saved(name)) {
-    return Status::AlreadyExists(
-        StrFormat("session \"%s\" already exists", name.c_str()));
-  }
+  // Refuse before the (expensive) task build; Create decides again,
+  // atomically with the publish.
+  CP_RETURN_NOT_OK(registry_.CanCreate(name));
   CP_ASSIGN_OR_RETURN(
       ServeSessionOptions options,
       ServeSessionOptionsFromRequest(req, options_.default_cache_capacity));
@@ -137,50 +93,11 @@ Result<JsonValue> Server::CreateSession(const JsonValue& req) {
   // of the client spec — rehydration applies the same resolution.
   options.mmap_scratch_dir = ResolveScratchDir(options_);
   CP_ASSIGN_OR_RETURN(CleaningTask task, BuildTaskFromSpec(req));
-  // Build AND prime the session outside the lock (task construction and
-  // Make's certainty sweep are the expensive parts); only publish +
-  // capacity sweep are a lifecycle transition. The unlocked admission
-  // pre-check earlier only avoids wasted builds; over-capacity is decided
-  // authoritatively under the lock.
   CP_ASSIGN_OR_RETURN(
       const std::shared_ptr<ServeSession> session,
       ServeSession::Make(name, std::move(task), options,
                          SpecFromRequest(req)));
-  {
-    std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
-    if (store_.Saved(name)) {
-      // Re-checked under the lock: the name may have been created AND
-      // evicted by others while we were building the task; creating over
-      // its snapshot would fork two incarnations of one name.
-      return Status::AlreadyExists(
-          StrFormat("session \"%s\" already exists", name.c_str()));
-    }
-    CP_RETURN_NOT_OK(registry_.Insert(session));
-    if (options_.max_sessions > 0 && !store_.enabled() &&
-        registry_.size() > options_.max_sessions) {
-      // Authoritative admission, decided under the lock (the unlocked
-      // pre-check earlier only avoids wasted builds): with no disk to
-      // evict into, over-capacity rolls the insert back and refuses.
-      (void)registry_.Drop(session->name());
-      return Status::Unavailable(StrFormat(
-          "session table is full (--max-sessions=%d) and no --data-dir is "
-          "configured to evict into",
-          static_cast<int>(options_.max_sessions)));
-    }
-  }
-  // The capacity sweep runs outside the lifecycle lock (snapshot
-  // serialization and writer drain are the expensive parts; the sweep
-  // takes the lock itself around its commit).
-  const Result<std::vector<std::string>> evicted =
-      store_.EnforceCapacity(registry_, lifecycle_mu_);
-  if (!evicted.ok()) {
-    // The eviction victim's save failed (disk full, unwritable data dir):
-    // roll the new session back so an error response never leaves state
-    // behind, and the registry honors --max-sessions.
-    std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
-    (void)registry_.Drop(session->name());
-    return evicted.status();
-  }
+  CP_RETURN_NOT_OK(registry_.Create(session));
 
   const CleaningTask& bound = session->task();
   JsonValue out = JsonValue::MakeObject();
@@ -225,28 +142,8 @@ Result<JsonValue> Server::ListSessions(const JsonValue& req) {
 Result<JsonValue> Server::DropSession(const JsonValue& req) {
   CP_ASSIGN_OR_RETURN(const std::string name, RequestString(req, "session"));
   // Dropping is a full discard: the snapshot goes too (eviction is the op
-  // that keeps it). Snapshot first, live entry second — the reverse order
-  // would let a concurrent request's lazy rehydration resurrect the
-  // session from the not-yet-deleted snapshot after the registry drop —
-  // and the whole discard is one lifecycle transition, so no concurrent
-  // save or eviction sweep can re-write the snapshot mid-drop.
-  // Either form existing counts as a successful drop.
-  std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
-  bool deleted_snapshot = false;
-  if (store_.enabled() && store_.Saved(name)) {
-    const Status deleted = store_.Delete(name);
-    if (deleted.ok()) {
-      deleted_snapshot = true;
-    } else if (deleted.code() != StatusCode::kNotFound) {
-      // An undeletable snapshot (read-only data dir) must fail the drop:
-      // reporting success while a rehydratable file remains would let the
-      // "discarded" session resurrect on the next request. NotFound just
-      // means another drop raced us — fine.
-      return deleted;
-    }
-  }
-  const Status dropped_live = registry_.Drop(name);
-  if (!dropped_live.ok() && !deleted_snapshot) return dropped_live;
+  // that keeps it). Either form existing counts as a successful drop.
+  CP_ASSIGN_OR_RETURN(const bool deleted_snapshot, registry_.Drop(name));
   JsonValue out = JsonValue::MakeObject();
   out.Set("dropped", JsonValue(name));
   out.Set("deleted_snapshot", JsonValue(deleted_snapshot));
@@ -259,73 +156,20 @@ Result<JsonValue> Server::SaveSession(const JsonValue& req) {
     return Status::Unavailable(
         "session persistence is disabled (no --data-dir)");
   }
+  // An evicted session is not rehydrated just to rewrite an identical
+  // file: its snapshot IS its current state.
+  CP_ASSIGN_OR_RETURN(const bool live, registry_.Save(name));
   JsonValue out = JsonValue::MakeObject();
   out.Set("saved", JsonValue(name));
   out.Set("path", JsonValue(store_.PathFor(name)));
-  const Result<std::shared_ptr<ServeSession>> live = registry_.Get(name);
-  if (!live.ok() && store_.Saved(name)) {
-    // Already evicted: its snapshot IS its current state — rehydrating a
-    // whole session just to rewrite an identical file would be pure waste
-    // (and would churn the LRU sweep).
-    out.Set("state", JsonValue("evicted"));
-    return out;
-  }
-  CP_ASSIGN_OR_RETURN(const std::shared_ptr<ServeSession> session, live);
-  // The store serializes OUTSIDE the lifecycle lock (serialization blocks
-  // on the session's shared_mutex — a long clean_run could hold that for
-  // a while — and unrelated lifecycle ops must not queue behind it); only
-  // the disk commit is a lifecycle transition, gated on the re-validation
-  // callback below running under the lock.
-  bool evicted_during_save = false;
-  const Status saved = store_.Save(
-      *session, /*write_seq_out=*/nullptr, &lifecycle_mu_,
-      [&]() -> Status {
-        const Result<std::shared_ptr<ServeSession>> current =
-            registry_.Get(name);
-        if (current.ok() && current.value().get() == session.get()) {
-          return Status::OK();
-        }
-        if (store_.Saved(name)) {
-          // Evicted while we serialized; the sweep's save is at least as
-          // fresh as ours. Abort the commit and keep it.
-          evicted_during_save = true;
-          return Status::Unavailable("evicted during save");
-        }
-        // Dropped while we serialized: committing now would resurrect it.
-        return Status::NotFound(StrFormat(
-            "session \"%s\" was dropped while being saved", name.c_str()));
-      });
-  if (evicted_during_save) {
-    out.Set("state", JsonValue("evicted"));
-    return out;
-  }
-  CP_RETURN_NOT_OK(saved);
-  out.Set("state", JsonValue("live"));
+  out.Set("state", JsonValue(live ? "live" : "evicted"));
   return out;
 }
 
 Result<JsonValue> Server::LoadSession(const JsonValue& req) {
   CP_ASSIGN_OR_RETURN(const std::string name, RequestString(req, "session"));
-  if (registry_.Get(name).ok()) {
-    return Status::AlreadyExists(StrFormat(
-        "session \"%s\" is already live", name.c_str()));
-  }
-  // As in FindSession: load outside the lifecycle lock, publish under it.
   CP_ASSIGN_OR_RETURN(const std::shared_ptr<ServeSession> session,
-                      store_.Load(name));
-  (void)FaultHit("lifecycle.load");  // sleep-only scheduling point
-  {
-    std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
-    if (!store_.Saved(name)) {
-      return Status::NotFound(StrFormat(
-          "session \"%s\" was dropped while being rehydrated", name.c_str()));
-    }
-    const Status inserted = registry_.Insert(session);
-    if (!inserted.ok()) return inserted;
-  }
-  // Best effort, as in FindSession: the explicit load succeeded even if
-  // the capacity sweep could not save its victim.
-  (void)store_.EnforceCapacity(registry_, lifecycle_mu_);
+                      registry_.Find(name, /*load_op=*/true));
   // The full session snapshot doubles as the load summary (progress,
   // resolved options, version).
   return session->Stats();
@@ -336,7 +180,7 @@ Result<JsonValue> Server::Stats(const JsonValue& req) {
   if (name != nullptr) {
     CP_ASSIGN_OR_RETURN(const std::string session_name,
                         RequestString(req, "session"));
-    // Deliberately NOT FindSession: monitoring an evicted session must not
+    // Deliberately NOT registry_.Find: monitoring an evicted session must not
     // rehydrate it (a full task rebuild) or stamp it recently-used — a
     // stats poll over every known session would otherwise churn the LRU
     // sweep. Evicted sessions answer a stub instead.

@@ -118,22 +118,27 @@ struct ServerOptions {
 /// Concurrency: per-session ops are classified read (q2, predict,
 /// certify, explain, why_certified, stats — and save_session's snapshot
 /// serialization) vs write (clean_step, clean_run); reads on one session
-/// run concurrently on its shared lock, writes serialize. Lifecycle transitions (create/publish,
-/// drop, the snapshot file write of save, load/rehydration publication,
-/// eviction) additionally serialize on a server-wide lifecycle mutex —
-/// expensive work (task builds, snapshot loads/serialization) happens
-/// outside it. Different sessions always proceed concurrently and share
-/// the process-global thread pool.
+/// run concurrently on its shared lock, writes serialize. Every lifecycle
+/// transition (create, lazy rehydration, load, save, drop, the capacity
+/// sweep) is a method of the one session table (`SessionRegistry`), taken
+/// under its one mutex. That mutex is never held across snapshot IO, a
+/// task build or a session lock, so a request's lookup never waits behind
+/// a slow transition. Different sessions always proceed concurrently and
+/// share the process-global thread pool.
 ///
-/// Lifecycle: with a `data_dir`, sessions move live → evicted (LRU past
-/// `max_sessions`, saved to disk) → rehydrated (lazily, on the next
-/// request naming them, or explicitly via `load_session`). The eviction
-/// sweep retires its victim (draining in-flight writers) before the
-/// registry drop: a write acknowledged during the snapshot serialization
-/// triggers a dirty re-save, and a write arriving on the detached
-/// instance afterwards answers Unavailable("evicted; retry") — the retry
-/// lands on the rehydrated incarnation, so acknowledged writes survive
-/// eviction in every interleaving.
+/// Lifecycle: each name in the table is live, retiring (the capacity
+/// sweep's victim, committing its save), loading (being rehydrated) or
+/// dropping (its files being deleted); an evicted name is absent from the
+/// table and has a snapshot in `data_dir`, and a dropped name has
+/// neither. With a `data_dir`, sessions move live → evicted (LRU past
+/// `max_sessions`, saved to disk) → live again (lazily on the next request
+/// naming them, or via `load_session`). A transition that meets another's
+/// claim on a name waits for it to settle. The sweep retires its victim
+/// (draining in-flight writers) before the save commits: a write
+/// acknowledged after the save was prepared triggers a re-save, and a
+/// write arriving on the retired instance answers Unavailable("evicted;
+/// retry") — the retry lands on the rehydrated incarnation, so
+/// acknowledged writes survive eviction in every interleaving.
 ///
 /// Transports: `RunStdio` (requests on stdin, responses on stdout) and
 /// `ServeTcp` (loopback listener on an epoll event loop: `poller_threads`
@@ -190,7 +195,6 @@ class Server {
   bool stopping() const { return stopping_.load(); }
 
   SessionRegistry& registry() { return registry_; }
-  SessionStore& store() { return store_; }
 
   /// Live transport gauges and counters, updated by the event loop and
   /// reported by the global `stats` op.
@@ -227,22 +231,12 @@ class Server {
   /// the op in-process.
   Result<JsonValue> FaultInject(const JsonValue& req);
 
-  /// Registry lookup with lazy rehydration: a session evicted (or saved by
-  /// a previous server process over the same data dir) is loaded from its
-  /// snapshot on the next request that names it.
-  Result<std::shared_ptr<ServeSession>> FindSession(const std::string& name);
-
   ServerOptions options_;
-  SessionRegistry registry_;
   SessionStore store_;
-  /// Serializes session lifecycle *transitions* — create/insert+evict,
-  /// drop (snapshot delete + registry drop), explicit save, rehydration —
-  /// so no interleaving can, e.g., re-write a snapshot a concurrent drop
-  /// just deleted or delete the one an eviction just wrote. Per-session
-  /// query/cleaning ops never take it (they run under the session's own
-  /// shared_mutex), and neither does the live-session fast path of
-  /// FindSession, so the data plane is unaffected.
-  std::mutex lifecycle_mu_;
+  /// The one session table: every lifecycle transition (create, lazy
+  /// rehydration, load, save, drop, the capacity sweep) is one of its
+  /// methods, under its one mutex.
+  SessionRegistry registry_;
   std::atomic<bool> stopping_{false};
   std::atomic<int> bound_port_{-1};
   std::atomic<int> bound_metrics_port_{-1};

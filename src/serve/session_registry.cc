@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "cleaning/certify.h"
+#include "common/fault_injection.h"
 #include "common/metrics.h"
 #include "common/stats.h"
 #include "common/string_util.h"
@@ -13,6 +14,7 @@
 #include "core/witness.h"
 #include "incomplete/serialization.h"
 #include "serve/request_params.h"
+#include "serve/session_store.h"
 
 namespace cpclean {
 
@@ -451,56 +453,220 @@ Status ServeSession::RestoreCleaning(const CleaningSnapshot& snapshot,
   return Status::OK();
 }
 
-Status SessionRegistry::Insert(std::shared_ptr<ServeSession> session) {
-  // Copy the name up front: if emplace rejects a duplicate it may still
-  // have moved from its arguments.
-  const std::string name = session->name();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!sessions_.emplace(name, std::move(session)).second) {
-    return Status::AlreadyExists(
-        StrFormat("session \"%s\" already exists", name.c_str()));
+SessionRegistry::SessionRegistry(SessionStore* store) : store_(store) {}
+
+bool SessionRegistry::Resident(const Entry& entry) {
+  return entry.state == State::kLive || entry.state == State::kRetiring;
+}
+
+template <typename Ready>
+SessionRegistry::Table::iterator SessionRegistry::AwaitLocked(
+    std::unique_lock<std::mutex>& lock, const std::string& name,
+    Ready ready) {
+  for (;;) {
+    const auto it = sessions_.find(name);
+    if (it == sessions_.end() || ready(it->second)) return it;
+    settled_.wait(lock);
   }
-  return Status::OK();
+}
+
+void SessionRegistry::Settle(const std::string& name,
+                             std::shared_ptr<ServeSession> session) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (session != nullptr) {
+      sessions_[name] = Entry{State::kLive, std::move(session), 0};
+    } else {
+      sessions_.erase(name);
+    }
+  }
+  settled_.notify_all();
 }
 
 Result<std::shared_ptr<ServeSession>> SessionRegistry::Get(
     const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = sessions_.find(name);
-  if (it != sessions_.end()) return it->second;
+  if (it != sessions_.end() && Resident(it->second)) return it->second.session;
   return Status::NotFound(
       StrFormat("no session named \"%s\"", name.c_str()));
-}
-
-Status SessionRegistry::Drop(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (sessions_.erase(name) == 0) {
-    return Status::NotFound(
-        StrFormat("no session named \"%s\"", name.c_str()));
-  }
-  return Status::OK();
 }
 
 std::vector<std::string> SessionRegistry::Names() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
-  names.reserve(sessions_.size());
-  for (const auto& entry : sessions_) names.push_back(entry.first);
+  for (const auto& entry : sessions_) {
+    if (Resident(entry.second)) names.push_back(entry.first);
+  }
   std::sort(names.begin(), names.end());
   return names;
 }
 
-std::vector<std::shared_ptr<ServeSession>> SessionRegistry::All() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::shared_ptr<ServeSession>> out;
-  out.reserve(sessions_.size());
-  for (const auto& entry : sessions_) out.push_back(entry.second);
-  return out;
+size_t SessionRegistry::size() const { return Names().size(); }
+
+size_t SessionRegistry::LiveCountLocked() const {
+  return static_cast<size_t>(std::count_if(
+      sessions_.begin(), sessions_.end(), [](const auto& entry) {
+        return entry.second.state == State::kLive;
+      }));
 }
 
-size_t SessionRegistry::size() const {
+Status SessionRegistry::CreatableLocked(const std::string& name) const {
+  const size_t max_sessions = store_->max_sessions();
+  if (max_sessions > 0 && !store_->enabled() &&
+      LiveCountLocked() >= max_sessions) {
+    return Status::Unavailable(StrFormat(
+        "session table is full (--max-sessions=%d) and no --data-dir is "
+        "configured to evict into",
+        static_cast<int>(max_sessions)));
+  }
+  if (sessions_.count(name) > 0 || store_->Saved(name)) {
+    return Status::AlreadyExists(
+        StrFormat("session \"%s\" already exists", name.c_str()));
+  }
+  return Status::OK();
+}
+
+Status SessionRegistry::CanCreate(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  return sessions_.size();
+  return CreatableLocked(name);
+}
+
+Status SessionRegistry::Create(std::shared_ptr<ServeSession> session) {
+  const std::string name = session->name();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    CP_RETURN_NOT_OK(CreatableLocked(name));
+    sessions_.emplace(name, Entry{State::kLive, session, 0});
+  }
+  const Status swept = EnforceCapacity();
+  if (!swept.ok()) {
+    // The victim's save failed: roll the new session back so the error
+    // leaves no state behind and the table honors --max-sessions.
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = sessions_.find(name);
+    if (it != sessions_.end() && it->second.state == State::kLive &&
+        it->second.pins == 0 && it->second.session == session) {
+      sessions_.erase(it);
+    }
+  }
+  return swept;
+}
+
+Result<std::shared_ptr<ServeSession>> SessionRegistry::Find(
+    const std::string& name, bool load_op) {
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    const auto it = AwaitLocked(lock, name, Resident);
+    if (it != sessions_.end()) {
+      if (load_op) {
+        return Status::AlreadyExists(
+            StrFormat("session \"%s\" is already live", name.c_str()));
+      }
+      return it->second.session;
+    }
+    // load_session claims the name even without a snapshot, so the store
+    // reports why there is nothing to load.
+    if (!load_op && !store_->Saved(name)) {
+      return Status::NotFound(
+          StrFormat("no session named \"%s\"", name.c_str()));
+    }
+    sessions_.emplace(name, Entry{State::kLoading, nullptr, 0});
+  }
+  Result<std::shared_ptr<ServeSession>> loaded = store_->Load(name);
+  (void)FaultHit("lifecycle.load");  // sleep-only scheduling point
+  Settle(name, loaded.ok() ? loaded.value() : nullptr);
+  CP_RETURN_NOT_OK(loaded.status());
+  // Best effort: if the sweep's victim fails to save, the table stays over
+  // capacity rather than failing this (unrelated) request; the next
+  // create_session surfaces the store error.
+  (void)EnforceCapacity();
+  return loaded;
+}
+
+Result<bool> SessionRegistry::Save(const std::string& name) {
+  std::shared_ptr<ServeSession> session;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    const auto it = AwaitLocked(lock, name, [](const Entry& entry) {
+      return entry.state == State::kLive;
+    });
+    if (it == sessions_.end()) {
+      if (store_->Saved(name)) return false;
+      return Status::NotFound(
+          StrFormat("no session named \"%s\"", name.c_str()));
+    }
+    ++it->second.pins;
+    session = it->second.session;
+  }
+  const Status saved = store_->Save(*session);
+  {
+    // A pinned entry stays put: drops wait for it, sweeps skip it.
+    std::lock_guard<std::mutex> lock(mu_);
+    --sessions_.find(name)->second.pins;
+  }
+  settled_.notify_all();
+  CP_RETURN_NOT_OK(saved);
+  return true;
+}
+
+Result<bool> SessionRegistry::Drop(const std::string& name) {
+  std::shared_ptr<ServeSession> session;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    const auto it = AwaitLocked(lock, name, [](const Entry& entry) {
+      return entry.state == State::kLive && entry.pins == 0;
+    });
+    if (it != sessions_.end()) session = it->second.session;
+    if (!store_->Saved(name)) {
+      if (session == nullptr) {
+        return Status::NotFound(
+            StrFormat("no session named \"%s\"", name.c_str()));
+      }
+      sessions_.erase(it);
+      return false;
+    }
+    sessions_[name] = Entry{State::kDropping, nullptr, 0};
+  }
+  const Status deleted = store_->Delete(name);
+  // An undeletable snapshot (read-only data dir) fails the drop: reporting
+  // success while a rehydratable file remains would let the discarded
+  // session come back. NotFound only means the file vanished meanwhile.
+  const bool failed = !deleted.ok() && deleted.code() != StatusCode::kNotFound;
+  Settle(name, failed ? session : nullptr);
+  if (failed) return deleted;
+  return deleted.ok();
+}
+
+Status SessionRegistry::EnforceCapacity() {
+  const size_t max_sessions = store_->max_sessions();
+  if (max_sessions == 0 || !store_->enabled()) return Status::OK();
+  for (;;) {
+    std::shared_ptr<ServeSession> victim;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (LiveCountLocked() <= max_sessions) return Status::OK();
+      // LRU by last-request sequence (monotone process-wide, so bursts
+      // within one wall-clock millisecond still order correctly).
+      Entry* lru = nullptr;
+      for (auto& entry : sessions_) {
+        Entry& candidate = entry.second;
+        if (candidate.state != State::kLive || candidate.pins > 0) continue;
+        if (lru == nullptr || candidate.session->last_request_seq() <
+                                  lru->session->last_request_seq()) {
+          lru = &candidate;
+        }
+      }
+      // Every live entry is mid-save: the next publish sweeps again.
+      if (lru == nullptr) return Status::OK();
+      lru->state = State::kRetiring;
+      victim = lru->session;
+    }
+    const Status evicted = store_->SaveAndRetire(*victim);
+    if (!evicted.ok()) victim->Unretire();
+    Settle(victim->name(), evicted.ok() ? nullptr : victim);
+    CP_RETURN_NOT_OK(evicted);
+  }
 }
 
 }  // namespace cpclean

@@ -2,6 +2,7 @@
 #define CPCLEAN_SERVE_SESSION_REGISTRY_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -209,23 +210,20 @@ class ServeSession {
 
   // --- Eviction handshake (exclusive lock) ----------------------------------
 
-  /// The eviction sweep's commit point, called BEFORE the registry drop
-  /// (the ordering `Unretire` rollback correctness depends on — retiring
-  /// after the drop would strand a failed re-save on an unreachable
-  /// instance): takes the exclusive lock (draining in-flight writers),
-  /// marks the session retired — every later write op answers
-  /// Unavailable("evicted; retry") instead of mutating an instance about
-  /// to be dropped — and returns whether `write_seq()` advanced past
-  /// `since_write_seq`, i.e. whether a write was acknowledged after the
-  /// sweep prepared its save, which must then be re-prepared. Once
-  /// retired no writer can mutate the session, so the sweep re-prepares
-  /// (delta or full) outside the exclusive lock. Together with the dirty
-  /// check this closes the save→drop window: an acknowledged write is
-  /// either in the first save, in the re-save, or was never acknowledged.
+  /// The eviction handshake (`SessionStore::SaveAndRetire`), called after
+  /// the eviction save is prepared and before it commits: takes the
+  /// exclusive lock (draining in-flight writers), marks the session
+  /// retired — every later write op answers Unavailable("evicted; retry")
+  /// instead of mutating an instance about to leave the table — and
+  /// returns whether `write_seq()` advanced past `since_write_seq`, i.e.
+  /// whether a write was acknowledged after the save was prepared, which
+  /// must then be re-prepared. Once retired no writer can mutate the
+  /// session, so an acknowledged write is either in the first save, in
+  /// the re-save, or was never acknowledged.
   bool Retire(uint64_t since_write_seq);
 
-  /// Rolls back `Retire` when the re-save could not be written (the sweep
-  /// re-publishes the session instead of dropping it).
+  /// Rolls back `Retire` when the eviction save could not be written (the
+  /// sweep returns the session to live instead of evicting it).
   void Unretire();
 
  private:
@@ -264,34 +262,100 @@ class ServeSession {
   std::shared_mutex mu_;
 };
 
-/// The server's directory of live sessions. Thread-safe; sessions are
-/// handed out as shared_ptr so an in-flight request survives a concurrent
-/// drop or eviction. Lookup is hash-based (an unordered_map — the
-/// directory is on every request's path); `Names()` stays sorted for
-/// stable protocol responses.
+class SessionStore;
+
+/// The one session table: every session name's lifecycle state, and every
+/// lifecycle transition as a method under its one mutex. A name in the
+/// table is in one of four states:
+///
+///   live      resident and serving
+///   retiring  the capacity sweep's victim, still serving while the sweep
+///             commits its save (writes answer Unavailable once retired)
+///   loading   being rehydrated from its snapshot (no instance yet)
+///   dropping  having its files deleted
+///
+/// A dropped name is absent from the table. An evicted name is absent and
+/// has a snapshot on disk, so snapshots written by an earlier process
+/// rehydrate too. retiring, loading and dropping are claims: the
+/// transition that set one does its IO outside the mutex and then settles
+/// the entry; any other transition that meets a claim waits for it
+/// (lookups of a retiring name still get its instance). An explicit save
+/// pins its live entry instead: a drop waits for the pin, the sweep skips
+/// it. So two sweeps never take one victim, and a drop never interleaves
+/// with a load or a save commit.
+///
+/// The mutex is never held across snapshot IO, a task build or a session
+/// lock; the only file-system call under it is the snapshot-existence
+/// check on paths that miss the table.
 class SessionRegistry {
  public:
-  /// Publishes a built session (`ServeSession::Make` output — the
-  /// creation and rehydration paths alike; the server holds its lifecycle
-  /// mutex around publication). AlreadyExists if the name is taken.
-  Status Insert(std::shared_ptr<ServeSession> session);
+  /// `store` persists, evicts and rehydrates; a disabled store keeps every
+  /// session in RAM.
+  explicit SessionRegistry(SessionStore* store);
 
-  /// NotFound when no such session.
+  /// The live or retiring instance; NotFound otherwise. Never waits.
   Result<std::shared_ptr<ServeSession>> Get(const std::string& name) const;
 
-  Status Drop(const std::string& name);
-
-  /// Session names, sorted.
+  /// Live and retiring names, sorted, and their count.
   std::vector<std::string> Names() const;
-
-  /// Every live session (unspecified order) — the eviction sweep's input.
-  std::vector<std::shared_ptr<ServeSession>> All() const;
-
   size_t size() const;
 
+  /// AlreadyExists when `name` is in the table or evicted; Unavailable
+  /// when the table is full with no data dir to evict into. `Create`
+  /// applies the same rule atomically; asking first saves a doomed build.
+  Status CanCreate(const std::string& name);
+
+  /// Publishes a built session, then runs the capacity sweep; when the
+  /// sweep fails the new session is removed again.
+  Status Create(std::shared_ptr<ServeSession> session);
+
+  /// The live or retiring instance, else the evicted session loaded from
+  /// its snapshot, published, and followed by the capacity sweep. With
+  /// `load_op` (load_session) a resident name is AlreadyExists instead.
+  Result<std::shared_ptr<ServeSession>> Find(const std::string& name,
+                                             bool load_op = false);
+
+  /// Persists the live session, pinned while it saves. False, without
+  /// saving, when the name is evicted: its snapshot is its current state.
+  Result<bool> Save(const std::string& name);
+
+  /// Discards the session and its snapshot; returns whether a snapshot was
+  /// deleted. An undeletable snapshot fails the drop and keeps the session.
+  Result<bool> Drop(const std::string& name);
+
+  /// The capacity sweep, run after every publish: while more than the
+  /// store's `max_sessions` entries are live, claims the least recently
+  /// used (by `last_request_seq`) unpinned one, evicts it with
+  /// `SessionStore::SaveAndRetire`, and settles it: absent on success,
+  /// unretired and live again on failure.
+  Status EnforceCapacity();
+
  private:
+  enum class State { kLive, kRetiring, kLoading, kDropping };
+  struct Entry {
+    State state = State::kLive;
+    std::shared_ptr<ServeSession> session;  // null while loading/dropping
+    int pins = 0;                           // explicit saves in flight
+  };
+  using Table = std::unordered_map<std::string, Entry>;
+
+  static bool Resident(const Entry& entry);  // live or retiring
+
+  /// Waits until `name` is absent or its entry satisfies `ready`.
+  template <typename Ready>
+  Table::iterator AwaitLocked(std::unique_lock<std::mutex>& lock,
+                              const std::string& name, Ready ready);
+
+  /// Ends a claim: `name` becomes live with `session`, or absent if null.
+  void Settle(const std::string& name, std::shared_ptr<ServeSession> session);
+
+  Status CreatableLocked(const std::string& name) const;
+  size_t LiveCountLocked() const;
+
+  SessionStore* const store_;
   mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<ServeSession>> sessions_;
+  std::condition_variable settled_;  // a claim or a pin was released
+  Table sessions_;
 };
 
 }  // namespace cpclean

@@ -257,19 +257,7 @@ std::string SessionStore::LogPathFor(const std::string& name) const {
   return options_.data_dir + "/" + EscapeName(name) + kLogSuffix;
 }
 
-Status SessionStore::ValidateSavable(const ServeSession& session) {
-  if (!session.spec().is_object()) {
-    return Status::InvalidArgument(StrFormat(
-        "session \"%s\" carries no creation spec; nothing could rebuild "
-        "its task on load",
-        session.name().c_str()));
-  }
-  return Status::OK();
-}
-
-Status SessionStore::Save(ServeSession& session, uint64_t* write_seq_out,
-                          std::mutex* commit_mu,
-                          const std::function<Status()>& commit_check) {
+Status SessionStore::Save(ServeSession& session, uint64_t* write_seq_out) {
   if (!enabled()) {
     return Status::Unavailable(
         "session persistence is disabled (no --data-dir)");
@@ -277,21 +265,38 @@ Status SessionStore::Save(ServeSession& session, uint64_t* write_seq_out,
   std::lock_guard<std::mutex> order(save_order_mu_);
   CP_ASSIGN_OR_RETURN(PendingSave pending, PrepareSave(session));
   (void)FaultHit("lifecycle.save");  // sleep-only scheduling point
-  std::unique_lock<std::mutex> commit_lock;
-  if (commit_mu != nullptr) {
-    commit_lock = std::unique_lock<std::mutex>(*commit_mu);
-  }
-  if (commit_check) {
-    CP_RETURN_NOT_OK(commit_check());
-  }
   CP_RETURN_NOT_OK(CommitSave(session.name(), pending));
   if (write_seq_out != nullptr) *write_seq_out = pending.write_seq;
   return Status::OK();
 }
 
+Status SessionStore::SaveAndRetire(ServeSession& session) {
+  if (!enabled()) {
+    return Status::Unavailable(
+        "session persistence is disabled (no --data-dir)");
+  }
+  std::lock_guard<std::mutex> order(save_order_mu_);
+  CP_ASSIGN_OR_RETURN(PendingSave pending, PrepareSave(session));
+  (void)FaultHit("lifecycle.evict");  // sleep-only scheduling point
+  // Retire before the commit: the exclusive lock drains in-flight
+  // writers, and later writes on this instance answer Unavailable, so
+  // none is acknowledged and then lost. A write acknowledged between the
+  // preparation above and retirement forces a re-prepare against the now
+  // final state.
+  if (session.Retire(pending.write_seq)) {
+    CP_ASSIGN_OR_RETURN(pending, PrepareSave(session));
+  }
+  return CommitSave(session.name(), pending);
+}
+
 Result<SessionStore::PendingSave> SessionStore::PrepareSave(
     ServeSession& session) {
-  CP_RETURN_NOT_OK(ValidateSavable(session));
+  if (!session.spec().is_object()) {
+    return Status::InvalidArgument(StrFormat(
+        "session \"%s\" carries no creation spec; nothing could rebuild "
+        "its task on load",
+        session.name().c_str()));
+  }
   PendingSave pending;
   std::optional<DurableState> durable;
   {
@@ -848,98 +853,6 @@ std::vector<std::string> SessionStore::SavedNames() const {
   }
   std::sort(names.begin(), names.end());
   return names;
-}
-
-Result<std::vector<std::string>> SessionStore::EnforceCapacity(
-    SessionRegistry& registry, std::mutex& lifecycle_mu) {
-  std::vector<std::string> evicted;
-  if (options_.max_sessions == 0) return evicted;
-  // One sweep at a time: concurrent sweeps would race to retire the same
-  // LRU victim. Callers must NOT hold `lifecycle_mu` — the sweep takes it
-  // only around its commit below.
-  std::lock_guard<std::mutex> sweep(sweep_mu_);
-  // Bounds the retry paths below: under sustained load on every session
-  // the sweep must still terminate. Exhaustion only costs LRU accuracy
-  // (a recently-touched victim gets evicted anyway) — never a write: the
-  // retire handshake below protects those in every interleaving.
-  size_t retries_left = 2 * registry.size() + 4;
-  while (registry.size() > options_.max_sessions) {
-    if (!enabled()) {
-      return Status::Unavailable(StrFormat(
-          "%d sessions exceed --max-sessions=%d and no --data-dir is "
-          "configured to evict into",
-          static_cast<int>(registry.size()),
-          static_cast<int>(options_.max_sessions)));
-    }
-    // LRU by last-request sequence (monotone process-wide, so bursts
-    // within one wall-clock millisecond still order correctly).
-    std::shared_ptr<ServeSession> victim;
-    for (const std::shared_ptr<ServeSession>& session : registry.All()) {
-      if (!victim ||
-          session->last_request_seq() < victim->last_request_seq()) {
-        victim = session;
-      }
-    }
-    if (!victim) break;  // raced to empty
-    // The expensive half runs OUTSIDE the lifecycle mutex (the same split
-    // save_session uses): snapshot serialization blocks on the victim's
-    // shared lock (a long clean_run could hold that for a while) and
-    // retirement drains its in-flight writers — neither may stall every
-    // unrelated lifecycle transition.
-    CP_RETURN_NOT_OK(ValidateSavable(*victim));
-    const uint64_t seq_before_save = victim->last_request_seq();
-    // Saves order on save_order_mu_ (see Save): held across the prepare /
-    // retire / commit so no client save interleaves its own delta append
-    // with the eviction's on this session's log.
-    std::unique_lock<std::mutex> order(save_order_mu_);
-    Result<PendingSave> prepared = PrepareSave(*victim);
-    if (!prepared.ok()) return prepared.status();
-    PendingSave pending = std::move(prepared).value();
-    (void)FaultHit("lifecycle.evict");  // sleep-only scheduling point
-    if (victim->last_request_seq() != seq_before_save && retries_left > 0) {
-      --retries_left;
-      // A request landed while the save was being prepared — the session
-      // is no longer LRU; re-pick.
-      continue;
-    }
-    // Retire BEFORE the registry drop so failure can roll back to a fully
-    // live session: the exclusive lock drains in-flight writers; later
-    // writes on this instance answer Unavailable and are never
-    // acknowledged. A write that slipped in between the preparation above
-    // and retirement — acknowledged to its client, so it must not be lost
-    // — triggers a re-prepare against the now-final state.
-    if (victim->Retire(pending.write_seq)) {
-      prepared = PrepareSave(*victim);
-      if (!prepared.ok()) {
-        victim->Unretire();
-        return prepared.status();
-      }
-      pending = std::move(prepared).value();
-    }
-    // Commit under the lifecycle mutex: re-validate that the registry
-    // still holds this exact instance (a drop_session racing the
-    // serialization deleted the name — writing our snapshot back would
-    // resurrect it), commit the save, drop the live entry.
-    {
-      std::lock_guard<std::mutex> lifecycle(lifecycle_mu);
-      const Result<std::shared_ptr<ServeSession>> live =
-          registry.Get(victim->name());
-      if (!live.ok() || live.value().get() != victim.get()) {
-        victim->Unretire();  // detached instance; the registry moved on
-        if (retries_left == 0) break;
-        --retries_left;
-        continue;
-      }
-      const Status written = CommitSave(victim->name(), pending);
-      if (!written.ok()) {
-        victim->Unretire();
-        return written;
-      }
-      (void)registry.Drop(victim->name());
-    }
-    evicted.push_back(victim->name());
-  }
-  return evicted;
 }
 
 }  // namespace cpclean

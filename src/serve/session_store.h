@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -54,7 +53,7 @@ struct SessionStoreOptions {
 
 /// Snapshot persistence and lifecycle policy for serving sessions: the
 /// piece that turns "sessions live forever in RAM" into
-/// live → evicted (saved to disk, dropped from the registry) →
+/// live → evicted (saved to disk, dropped from the session table) →
 /// rehydrated (rebuilt from spec + replayed cleaning order on next
 /// access).
 ///
@@ -97,28 +96,26 @@ class SessionStore {
   /// and the next compaction).
   std::string LogPathFor(const std::string& name) const;
 
-  /// InvalidArgument when `session` cannot be persisted (created without
-  /// a spec — nothing could rebuild its task on load). The single source
-  /// of the savability rule, shared by `Save` and the eviction sweep.
-  static Status ValidateSavable(const ServeSession& session);
-
   /// Persists `session`: a log append of the mutations since the last
   /// durable version when the store holds a baseline for it (O(delta)),
   /// else a full atomic base-snapshot write; a no-op when nothing changed.
-  /// Unavailable when persistence is disabled; see `ValidateSavable` for
-  /// the spec requirement.
-  ///
-  /// `write_seq_out`, when non-null, receives the session `write_seq()`
-  /// the save captured. The expensive half (serialization) runs before
-  /// the commit; callers that must re-validate liveness against a racing
-  /// drop pass their lifecycle mutex as `commit_mu` and the check as
-  /// `commit_check` — the disk commit then happens with `commit_mu` held,
-  /// after `commit_check` returns OK (a non-OK check aborts the save and
-  /// is returned). Saves of all sessions serialize on an internal order
-  /// mutex so two delta appends can never interleave on one log.
-  Status Save(ServeSession& session, uint64_t* write_seq_out = nullptr,
-              std::mutex* commit_mu = nullptr,
-              const std::function<Status()>& commit_check = nullptr);
+  /// Unavailable when persistence is disabled; InvalidArgument for a
+  /// session created without a spec (nothing could rebuild its task on
+  /// load). `write_seq_out`, when non-null, receives the session
+  /// `write_seq()` the save captured. Saves of all sessions serialize
+  /// prepare-to-commit on an internal order mutex, so two delta appends
+  /// can never interleave on one log. The store does not know whether the
+  /// session is still live: `SessionRegistry::Save` pins the table entry
+  /// around this call so no drop can interleave.
+  Status Save(ServeSession& session, uint64_t* write_seq_out = nullptr);
+
+  /// The eviction save, called by the capacity sweep on the victim it
+  /// claimed: prepares a save, retires the session (in-flight writers
+  /// drain; any later write on the instance answers Unavailable), prepares
+  /// again when a write was acknowledged in between, and commits. So an
+  /// acknowledged write is in the snapshot or was never acknowledged. On
+  /// failure the session may be left retired; the sweep unretires it.
+  Status SaveAndRetire(ServeSession& session);
 
   /// Writes pre-serialized full snapshot `text` for `name` atomically,
   /// bypassing delta tracking: any cleaning log for `name` is removed and
@@ -129,7 +126,7 @@ class SessionStore {
 
   /// Loads `name`'s base snapshot, replays its cleaning log (truncating
   /// a torn tail), and rebuilds the session (unpublished — the caller
-  /// inserts it into the registry). NotFound when no base exists.
+  /// publishes it in the session table). NotFound when no base exists.
   Result<std::shared_ptr<ServeSession>> Load(const std::string& name);
 
   /// Deletes `name`'s base snapshot and cleaning log. NotFound when no
@@ -141,25 +138,6 @@ class SessionStore {
 
   /// Names of every saved session, sorted.
   std::vector<std::string> SavedNames() const;
-
-  /// The eviction sweep: while `registry` holds more than `max_sessions`
-  /// sessions, saves the least-recently-used one (by last-request
-  /// sequence) — an O(delta) log append when a durable baseline exists —
-  /// retires it (in-flight writers drain; a write acknowledged during
-  /// save preparation triggers a re-prepare against the final state, and
-  /// any later write on the detached instance is refused with
-  /// Unavailable — so an acknowledged write is never lost to eviction),
-  /// and drops it. Returns the evicted names (empty when under the limit
-  /// or max_sessions == 0). Fails without evicting when persistence is
-  /// disabled — callers gate admission instead of silently discarding
-  /// state.
-  ///
-  /// The caller must NOT hold `lifecycle_mu`: the expensive half
-  /// (serialization, writer drain) runs outside it, and only the commit
-  /// (disk write + registry drop, re-validated against a racing drop)
-  /// takes it. Concurrent sweeps serialize on an internal mutex.
-  Result<std::vector<std::string>> EnforceCapacity(SessionRegistry& registry,
-                                                   std::mutex& lifecycle_mu);
 
   /// Degraded read-only mode. The store enters it when a snapshot, log
   /// append, or probe write fails with an IO error: further writes
@@ -219,12 +197,11 @@ class SessionStore {
   bool DegradedFastFail(Status* status);
 
   SessionStoreOptions options_;
-  /// Serializes eviction sweeps (two sweeps would retire the same victim).
-  std::mutex sweep_mu_;
   /// Serializes prepare→commit of every save: two concurrent delta saves
   /// of one session would both diff against the same durable version and
-  /// append duplicate records. Ordering: sweep_mu_ → save_order_mu_ →
-  /// session locks → lifecycle_mu → durable_mu_.
+  /// append duplicate records. Ordering: save_order_mu_ → session locks →
+  /// durable_mu_ / degraded_mu_. The session table's mutex is never held
+  /// while any of these is taken.
   std::mutex save_order_mu_;
   /// Guards durable_ (leaf mutex).
   std::mutex durable_mu_;
