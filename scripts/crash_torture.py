@@ -169,13 +169,13 @@ def rpc_ok(client, line):
     return parsed["result"]
 
 
+MULTI_NAMES = ("t", "u")
+
+
 def multi_create(name):
     seed = 7 + MULTI_NAMES.index(name)
     return CREATE.replace('"session":"t"', '"session":"%s"' % name).replace(
         '"seed":7', '"seed":%d' % seed)
-
-
-MULTI_NAMES = ("t", "u")
 
 
 def reference_states(server, name):

@@ -201,7 +201,9 @@ class LifecycleExplorer {
       FaultInjection::Clear();
 
       for (const Record& r : records_) {
-        if (r.op == Op::kCreate && r.ok) created[static_cast<size_t>(r.session)] = true;
+        if (r.op == Op::kCreate && r.ok) {
+          created[static_cast<size_t>(r.session)] = true;
+        }
       }
       CheckSchedule(&server, created);
     }
