@@ -266,9 +266,10 @@ class SessionTorture:
                         time.sleep(0.001)
                         continue
                     step += 1
-                if q2_bits(client, self.name) != self.states[step]:
+                code, bits = q2_reply(client, self.name)
+                if code is not None or bits != self.states[step]:
                     raise Failure("%s diverged from its reference at step %d"
-                                  % (self.name, step))
+                                  " (%s)" % (self.name, step, code))
                 # Touching this session evicted the other one; now save it
                 # ("evicted" also means durable: the sweep saved it after
                 # our last acknowledged write).
@@ -278,7 +279,7 @@ class SessionTorture:
                 self.counts["saves"] += 1
         except Failure as failure:
             self.error = str(failure)
-        except (ConnectionError, OSError, ValueError, KeyError):
+        except (ConnectionError, OSError):
             pass  # the kill landed
 
 
