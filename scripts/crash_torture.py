@@ -69,12 +69,31 @@ import time
 
 LISTEN_RE = re.compile(r"listening on 127\.0\.0\.1:([0-9]+)")
 
-CREATE = (
-    '{"op":"create_session","session":"t","source":"synthetic",'
-    '"dataset":"torture","train_rows":30,"val_size":4,"test_size":4,'
-    '"seed":7,"numeric":4,"categorical":0,"noise_sigma":0.3,'
-    '"missing_rate":0.4,"k":3}'
-)
+
+
+def create_request(name, seed, train_rows, val_size, missing_rate):
+    return (
+        '{"op":"create_session","session":"%s","source":"synthetic",'
+        '"dataset":"torture","train_rows":%d,"val_size":%d,"test_size":4,'
+        '"seed":%d,"numeric":4,"categorical":0,"noise_sigma":0.3,'
+        '"missing_rate":%g,"k":3}'
+        % (name, train_rows, val_size, seed, missing_rate))
+
+
+# The save/evict/compact session: enough dirty rows and validation points
+# that greedy cleaning takes 115 steps to certify every point, so most of a
+# run's 30 short cycles (each killed 5-120 ms in) reach a new state.
+TORTURE_VAL = 60
+CREATE = create_request("t", 7, 400, TORTURE_VAL, 0.2)
+
+# --mode multi's sessions and --mode evict's decoys: small, so a multi
+# session runs through its few states, is dropped and re-created many
+# times per run, and a decoy costs the eviction sweep little.
+SMALL_VAL = 4
+
+
+def small_create(name, seed):
+    return create_request(name, seed, 30, SMALL_VAL, 0.4)
 
 
 class Client:
@@ -135,24 +154,21 @@ def tmp_litter(data_dir):
     return sorted(glob.glob(os.path.join(data_dir, "*.tmp")))
 
 
-def q2_reply(client, name="t"):
+def q2_reply(client, name, val_size):
     """(error code or None, the session's q2 answers for every validation
     index as raw bytes)."""
-    bits = []
-    for v in range(4):
-        response = client.rpc(
-            '{"op":"q2","session":"%s","val_indices":[%d]}' % (name, v)
-        )
-        parsed = json.loads(response)
-        if parsed.get("ok") is not True:
-            return parsed.get("error", {}).get("code", response), None
-        bits.append(json.dumps(parsed["result"]["results"][0],
-                               sort_keys=True))
-    return None, "\n".join(bits)
+    response = client.rpc(
+        '{"op":"q2","session":"%s","val_indices":[%s]}'
+        % (name, ",".join(str(v) for v in range(val_size))))
+    parsed = json.loads(response)
+    if parsed.get("ok") is not True:
+        return parsed.get("error", {}).get("code", response), None
+    return None, "\n".join(json.dumps(result, sort_keys=True)
+                            for result in parsed["result"]["results"])
 
 
-def q2_bits(client, name="t"):
-    code, bits = q2_reply(client, name)
+def q2_bits(client, name="t", val_size=TORTURE_VAL):
+    code, bits = q2_reply(client, name, val_size)
     if code is not None:
         raise SystemExit("q2 %s failed: %s" % (name, code))
     return bits
@@ -173,9 +189,7 @@ MULTI_NAMES = ("t", "u")
 
 
 def multi_create(name):
-    seed = 7 + MULTI_NAMES.index(name)
-    return CREATE.replace('"session":"t"', '"session":"%s"' % name).replace(
-        '"seed":7', '"seed":%d' % seed)
+    return small_create(name, 7 + MULTI_NAMES.index(name))
 
 
 def reference_states(server, name):
@@ -186,10 +200,10 @@ def reference_states(server, name):
     try:
         client = Client(port)
         rpc_ok(client, multi_create(name))
-        states = [q2_bits(client, name)]
+        states = [q2_bits(client, name, SMALL_VAL)]
         while rpc_ok(client, '{"op":"clean_step","session":"%s"}'
                      % name)["cleaned"]:
-            states.append(q2_bits(client, name))
+            states.append(q2_bits(client, name, SMALL_VAL))
         client.close()
     finally:
         stop(proc)
@@ -213,7 +227,7 @@ class SessionTorture:
 
     def check_restart(self, client):
         """The state index the session rehydrated to; None when absent."""
-        code, bits = q2_reply(client, self.name)
+        code, bits = q2_reply(client, self.name, SMALL_VAL)
         if code == "Not found":
             if self.acked >= 0 and not self.dropping:
                 raise Failure("%s is gone but step %d was acknowledged saved"
@@ -266,7 +280,7 @@ class SessionTorture:
                         time.sleep(0.001)
                         continue
                     step += 1
-                code, bits = q2_reply(client, self.name)
+                code, bits = q2_reply(client, self.name, SMALL_VAL)
                 if code is not None or bits != self.states[step]:
                     raise Failure("%s diverged from its reference at step %d"
                                   " (%s)" % (self.name, step, code))
@@ -385,10 +399,14 @@ def main():
     acked = -1
     kills_with_litter = 0
     created = False
+    # Cycles whose kill landed after the session reached a state no earlier
+    # cycle had: a cycle that only replays old states tortures nothing new.
+    advanced = 0
 
     decoys = 0
     for iteration in range(args.iterations):
         rng = random.Random(args.seed * 100003 + iteration)
+        states_before = len(known)
         proc, port = start_server(args.server, data_dir, extra_args)
         try:
             litter = tmp_litter(data_dir)
@@ -428,9 +446,10 @@ def main():
             acked = max(acked, known[bits])
 
             # Now advance-record-save as fast as possible, and pull the
-            # plug mid-stream.
-            timer = threading.Timer(rng.uniform(0.005, 0.12), proc.kill)
-            timer.start()
+            # plug mid-stream. The kill is armed after the first step: that
+            # step rescores every selection cell (a restarted server
+            # carries no scores), which would outlast most kill windows.
+            timer = None
             try:
                 while True:
                     response = client.rpc(
@@ -449,22 +468,29 @@ def main():
                         # save. An ok decoy create means the sweep's save
                         # of the just-recorded state committed.
                         decoys += 1
-                        response = client.rpc(CREATE.replace(
-                            '"session":"t"', '"session":"d%d"' % decoys))
+                        response = client.rpc(
+                            small_create("d%d" % decoys, 7))
                     else:
                         response = client.rpc(
                             '{"op":"save_session","session":"t"}')
                     if json.loads(response).get("ok") is not True:
                         raise SystemExit("save failed: %s" % response)
                     acked = max(acked, known[bits])
+                    if timer is None:
+                        timer = threading.Timer(rng.uniform(0.005, 0.12),
+                                                proc.kill)
+                        timer.start()
             except (ConnectionError, OSError):
                 pass  # the kill landed
             finally:
-                timer.cancel()
+                if timer is not None:
+                    timer.cancel()
             client.close()
         finally:
             stop(proc)
 
+        if len(known) > states_before:
+            advanced += 1
         if tmp_litter(data_dir):
             kills_with_litter += 1
 
@@ -482,10 +508,11 @@ def main():
         stop(proc)
 
     print(
-        "crash torture OK (mode=%s): %d kill/restart cycles over %s, %d "
-        "distinct session states verified bit-identical, %d kills left "
-        "temp litter (all swept on restart), last acked step %d"
-        % (args.mode, args.iterations, data_dir, len(known),
+        "crash torture OK (mode=%s): %d kill/restart cycles over %s (%d "
+        "reached a new state), %d distinct session states verified "
+        "bit-identical, %d kills left temp litter (all swept on restart), "
+        "last acked step %d"
+        % (args.mode, args.iterations, data_dir, advanced, len(known),
            kills_with_litter, acked)
     )
     if args.data_dir is None:

@@ -75,6 +75,7 @@ void CleaningSession::Reset() {
   cleaned_order_.clear();
   audit_.clear();
   last_newly_certain_.clear();
+  selection_ = SelectionTable{};
   // `working_ = task copy` above wiped any journal/file backing the
   // serving layer configured; re-establish it.
   ApplyWorkingStorage();
@@ -218,6 +219,15 @@ double CleaningSession::MeanValEntropy() const {
              : total / static_cast<double>(task_->val_x.size());
 }
 
+namespace {
+
+// A selection cell that must be recomputed before use. A real horizon of
+// -infinity (a scan that reached such a similarity) reads as stale too,
+// which only costs a recompute.
+constexpr double kStale = -std::numeric_limits<double>::infinity();
+
+}  // namespace
+
 std::vector<double> CleaningSession::FastSelectionScores(
     const std::vector<int>& dirty) {
   // First compute-layer fault site. Unlike the I/O sites this one throws —
@@ -234,74 +244,198 @@ std::vector<double> CleaningSession::FastSelectionScores(
     if (!val_certain_[v]) active.push_back(static_cast<int>(v));
   }
   if (active.empty() || dirty.empty()) return score;
+  PrepareSelection(dirty, active);
+  const SelectionTable& table = selection_;
+  const size_t width = static_cast<size_t>(table.cols) + 1;
+  const int resident = static_cast<int>(table.resident.size());
 
   // One FastQ2 engine per worker (trees and scan are query-local state);
-  // each active validation point fills its own contribution row, and the
+  // each active validation point fills its own table row, and the
   // reduction replays additions in ascending validation order — so score
   // is bit-identical for every num_threads, including the serial pre-pool
-  // behavior at num_threads = 1. Validation points are streamed in ordered
-  // blocks sized so the contribution buffer stays within
-  // options_.max_contrib_bytes — O(block x |dirty|) memory instead of
-  // O(|active_val| x |dirty|). Per dirty example the additions form a left
-  // fold in ascending validation order whatever the block partition, so the
-  // bound — like the thread count — never changes a score bit.
-  const size_t row_bytes = dirty.size() * sizeof(double);
-  const size_t block =
-      std::min(active.size(),
-               std::max<size_t>(1, options_.max_contrib_bytes / row_bytes));
-  std::vector<std::unique_ptr<FastQ2>> engines(
-      static_cast<size_t>(pool_->num_threads()));
-  std::vector<double> contrib(block * dirty.size());
-  for (size_t base = 0; base < active.size(); base += block) {
-    const size_t count = std::min(block, active.size() - base);
+  // behavior at num_threads = 1. Resident rows belong to the lowest active
+  // points, so the first block holds them all plus as many streamed points
+  // as the scratch rows take; later blocks stream the rest. Per dirty
+  // example the additions form a left fold in ascending validation order
+  // whatever the partition, so the bound never changes a score bit.
+  const int workers = pool_->num_threads();
+  std::vector<std::unique_ptr<FastQ2>> engines(static_cast<size_t>(workers));
+  std::vector<SelectionCounters> tally(static_cast<size_t>(workers));
+  std::vector<std::pair<int, int>> block;  // (validation point, row)
+  for (size_t next = 0; next < active.size();) {
+    block.clear();
+    int scratch = resident;
+    for (; next < active.size(); ++next) {
+      const int v = active[next];
+      int row = table.row_of[static_cast<size_t>(v)];
+      if (row < 0) {
+        if (scratch == table.rows) break;
+        row = scratch++;
+      }
+      block.emplace_back(v, row);
+    }
     pool_->ParallelFor(
-        static_cast<int64_t>(count), [&](int64_t b, int worker) {
+        static_cast<int64_t>(block.size()), [&](int64_t b, int worker) {
           auto& engine = engines[static_cast<size_t>(worker)];
           if (!engine) {
             engine = std::make_unique<FastQ2>(&working_, options_.k,
                                               options_.fast_epsilon);
           }
-          FastQ2& q2 = *engine;
-          const int v = active[base + static_cast<size_t>(b)];
-          double* row = contrib.data() + static_cast<size_t>(b) * dirty.size();
-          q2.SetTestPoint(task_->val_x[static_cast<size_t>(v)], *kernel_);
-          const double floor = q2.TopKFloor();
-          double current_entropy = -1.0;  // computed lazily
-          for (size_t p = 0; p < dirty.size(); ++p) {
-            const int i = dirty[p];
-            if (q2.MaxSimilarity(i) < floor) {
-              // Tuple i can never enter this point's top-K in any world, so
-              // pinning it leaves the label distribution unchanged.
-              if (current_entropy < 0.0) {
-                current_entropy = q2.EntropyUnpinned();
-              }
-              row[p] = current_entropy;
-              continue;
-            }
-            const int m = working_.num_candidates(i);
-            // One sweep shares the boundary-scan prefix across all m
-            // candidates; summing its entries in candidate order keeps the
-            // reduction bit-identical to m separate EntropyPinned calls.
-            const std::vector<double>& pinned = q2.EntropyPinnedSweep(i);
-            double sum = 0.0;
-            for (int j = 0; j < m; ++j) {
-              sum += pinned[static_cast<size_t>(j)];
-            }
-            row[p] = sum / static_cast<double>(m);
-          }
+          const auto [v, row] = block[static_cast<size_t>(b)];
+          ScoreSelectionRow(v, row, dirty, engine.get(),
+                            &tally[static_cast<size_t>(worker)]);
         });
-    for (size_t b = 0; b < count; ++b) {
-      const double* row = contrib.data() + b * dirty.size();
-      for (size_t p = 0; p < dirty.size(); ++p) score[p] += row[p];
+    for (const auto& [v, row] : block) {
+      const SelectionCell* cells =
+          table.cells.data() + static_cast<size_t>(row) * width;
+      for (size_t p = 0; p < dirty.size(); ++p) {
+        score[p] += cells[table.col_of[static_cast<size_t>(dirty[p])]].value;
+      }
     }
+  }
+
+  // Fold the per-worker counts once per call; the sums do not depend on
+  // which worker scored which point.
+  SelectionCounters& total = selection_counters_;
+  for (const SelectionCounters& t : tally) {
+    total.cells_scored += t.cells_scored;
+    total.cells_reused += t.cells_reused;
+    total.cells_pruned += t.cells_pruned;
+  }
+  for (const auto& engine : engines) {
+    if (!engine) continue;
+    const FastQ2::WorkCounters& c = engine->counters();
+    total.q2.entries += c.entries;
+    total.q2.multiplies += c.multiplies;
+    total.q2.identity_skips += c.identity_skips;
+    total.q2.restore_writes += c.restore_writes;
   }
   return score;
 }
 
+void CleaningSession::PrepareSelection(const std::vector<int>& dirty,
+                                       const std::vector<int>& active) {
+  SelectionTable& table = selection_;
+  if (!table.cells.empty()) {
+    bool current = table.version == working_.version();
+    for (size_t p = 0; current && p < dirty.size(); ++p) {
+      current = table.col_of[static_cast<size_t>(dirty[p])] >= 0;
+    }
+    if (current) return;
+    table = SelectionTable{};
+  }
+  table.version = working_.version();
+  table.col_of.assign(static_cast<size_t>(working_.num_examples()), -1);
+  for (const int i : dirty) {
+    int& col = table.col_of[static_cast<size_t>(i)];
+    if (col < 0) col = table.cols++;
+  }
+  // Every active point gets a resident row when all fit. Otherwise half of
+  // what fits (at least one row) is scratch for streaming, and the rest
+  // stays resident for the lowest active points; certainty is monotone, so
+  // no point outside the table becomes active before the next Reset.
+  const size_t row_bytes =
+      (static_cast<size_t>(table.cols) + 1) * sizeof(SelectionCell);
+  const size_t fit = options_.max_contrib_bytes / row_bytes;
+  size_t resident = active.size();
+  size_t rows = active.size();
+  if (active.size() > fit) {
+    rows = std::max<size_t>(1, fit);
+    resident = rows / 2;
+  }
+  table.rows = static_cast<int>(rows);
+  table.row_of.assign(task_->val_x.size(), -1);
+  table.resident.assign(active.begin(),
+                        active.begin() + static_cast<ptrdiff_t>(resident));
+  for (size_t r = 0; r < resident; ++r) {
+    table.row_of[static_cast<size_t>(active[r])] = static_cast<int>(r);
+  }
+  table.cells.assign(rows * (static_cast<size_t>(table.cols) + 1),
+                     SelectionCell{0.0, kStale});
+}
+
+void CleaningSession::ScoreSelectionRow(int v, int row,
+                                        const std::vector<int>& dirty,
+                                        FastQ2* q2,
+                                        SelectionCounters* counters) {
+  SelectionTable& table = selection_;
+  const size_t width = static_cast<size_t>(table.cols) + 1;
+  SelectionCell* cells = table.cells.data() + static_cast<size_t>(row) * width;
+  SelectionCell& unpinned = cells[table.cols];
+  // A scratch row holds another point's cells: nothing in it is live.
+  const bool carried = row < static_cast<int>(table.resident.size());
+  bool unpinned_live = carried && unpinned.horizon != kStale;
+  q2->SetTestPoint(task_->val_x[static_cast<size_t>(v)], *kernel_);
+  const double floor = q2->TopKFloor();
+  for (const int i : dirty) {
+    SelectionCell& cell = cells[table.col_of[static_cast<size_t>(i)]];
+    if (q2->MaxSimilarity(i) < floor) {
+      // Tuple i can never enter this point's top-K in any world, so
+      // pinning it leaves the label distribution unchanged. The floor only
+      // rises under cleaning, so this branch is re-decided on every call.
+      if (!unpinned_live) {
+        unpinned.value = q2->EntropyUnpinned();
+        unpinned.horizon = q2->last_horizon();
+        unpinned_live = true;
+      }
+      cell = SelectionCell{unpinned.value, kStale};
+      ++counters->cells_pruned;
+      continue;
+    }
+    if (carried && cell.horizon != kStale) {
+      ++counters->cells_reused;
+      continue;
+    }
+    const int m = working_.num_candidates(i);
+    // One sweep shares the boundary-scan prefix across all m candidates;
+    // summing its entries in candidate order keeps the reduction
+    // bit-identical to m separate EntropyPinned calls.
+    const std::vector<double>& pinned = q2->EntropyPinnedSweep(i);
+    double sum = 0.0;
+    for (int j = 0; j < m; ++j) {
+      sum += pinned[static_cast<size_t>(j)];
+    }
+    cell = SelectionCell{sum / static_cast<double>(m), q2->last_horizon()};
+    ++counters->cells_scored;
+  }
+}
+
 void CleaningSession::CleanExample(int i) {
   CP_CHECK(!cleaned_[static_cast<size_t>(i)]);
+  SelectionTable& table = selection_;
+  const bool carry =
+      !table.cells.empty() && table.version == working_.version();
+  if (carry) {
+    // A cell stays live only while every candidate of i lies strictly below
+    // its horizon: the cell's queries then never processed i, and after the
+    // fix they process the same entries with i's leaf still the identity.
+    // i's own column goes stale outright (its candidates change).
+    const int m = working_.num_candidates(i);
+    const int first = working_.flat_row(i, 0);
+    const size_t width = static_cast<size_t>(table.cols) + 1;
+    const int col = table.col_of[static_cast<size_t>(i)];
+    std::vector<double> sims(static_cast<size_t>(m));
+    for (size_t r = 0; r < table.resident.size(); ++r) {
+      const int v = table.resident[r];
+      if (val_certain_[static_cast<size_t>(v)]) continue;  // never scored again
+      // The same per-row kernel arithmetic as FastQ2::SetTestPoint.
+      kernel_->SimilarityBatchNorms(
+          working_.candidate_ptr(i, 0), working_.flat_sq_norms() + first, m,
+          working_.dim(), task_->val_x[static_cast<size_t>(v)].data(),
+          sims.data());
+      const double reach = *std::max_element(sims.begin(), sims.end());
+      SelectionCell* cells = table.cells.data() + r * width;
+      for (size_t c = 0; c < width; ++c) {
+        if (!(cells[c].horizon > reach)) cells[c].horizon = kStale;
+      }
+      if (col >= 0) cells[col].horizon = kStale;
+    }
+  } else {
+    table = SelectionTable{};
+  }
   const int true_j = task_->true_candidate[static_cast<size_t>(i)];
   working_.FixExample(i, true_j);
+  if (carry) table.version = working_.version();
   world_[static_cast<size_t>(i)] = working_.candidate(i, 0);
   cleaned_[static_cast<size_t>(i)] = 1;
   cleaned_order_.push_back(i);

@@ -8,6 +8,7 @@
 #include "cleaning/cleaning_task.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/fast_q2.h"
 #include "knn/kernel.h"
 
 namespace cpclean {
@@ -54,14 +55,18 @@ struct CpCleanOptions {
   /// fill disjoint per-point slots and the floating-point reductions replay
   /// in validation order on one thread.
   int num_threads = 0;
-  /// Upper bound in bytes on the streamed FastSelectionScores contribution
-  /// buffer (one double per active-validation-point x dirty-example pair).
-  /// Validation points are processed in ordered blocks of
-  /// `max_contrib_bytes / (8 * |dirty|)` (floored at one row), so peak
-  /// memory is O(block x |dirty|) instead of O(|active_val| x |dirty|).
-  /// The per-example reduction is a left fold in ascending validation order
-  /// regardless of the block partition, so every value — like every thread
-  /// count — yields bit-identical scores.
+  /// Upper bound in bytes on FastSelectionScores' selection table: one row
+  /// per validation point of (value, horizon) cells, 16 bytes per dirty
+  /// example plus one for the row's unpinned entropy. When every active
+  /// validation point's row fits, all rows stay resident and carry their
+  /// cells across cleaning steps. Otherwise about half the rows that fit
+  /// stay resident for the lowest-indexed points, and the remaining points
+  /// stream through the other half in ordered blocks and are recomputed on
+  /// every call; a bound below one row (e.g. 1) streams one row at a time
+  /// and carries nothing. The per-example reduction is a left fold in
+  /// ascending validation order whatever the partition, and a carried cell
+  /// is bit-identical to a recomputed one, so every value — like every
+  /// thread count — yields bit-identical scores.
   size_t max_contrib_bytes = size_t{2} << 20;
 };
 
@@ -141,7 +146,31 @@ class CleaningSession {
   /// Expected-entropy scores for every example in `dirty`, via FastQ2,
   /// parallelized over validation points. Public for the determinism tests
   /// and benchmarks; RunCpClean is the intended entry point.
+  ///
+  /// Each (validation point v, example i) cell is kept between calls with
+  /// its horizon (`FastQ2::last_horizon`). Cleaning an example c stales
+  /// only the cells of each v whose horizon c's most similar candidate for
+  /// v reaches; every other cell's query would process the same scan
+  /// entries again, so a call recomputes only the stale cells and reuses
+  /// the rest bit for bit. The never-in-top-K branch is re-decided on every
+  /// call. `Reset`, `Restore`, any mutation of the working dataset other
+  /// than a cleaning step, and an example outside the table's columns drop
+  /// the whole table.
   std::vector<double> FastSelectionScores(const std::vector<int>& dirty);
+
+  /// Deterministic work counters of FastSelectionScores, cumulative over
+  /// the session's lifetime (Reset and Restore keep them). Equal for every
+  /// num_threads: they count work per validation point, not per worker.
+  struct SelectionCounters {
+    uint64_t cells_scored = 0;  // cells computed by a pinned sweep
+    uint64_t cells_reused = 0;  // swept cells carried from an earlier call
+    uint64_t cells_pruned = 0;  // never-in-top-K cells (the row's unpinned
+                                // entropy, itself carried when live)
+    FastQ2::WorkCounters q2;    // summed over the selection engines
+  };
+  const SelectionCounters& selection_counters() const {
+    return selection_counters_;
+  }
 
   // --- Incremental stepping (the serving layer's interface) ---------------
   //
@@ -233,7 +262,18 @@ class CleaningSession {
   void RecordAudit(int example);
   double CurrentTestAccuracy() const;
   double MeanValEntropy() const;
+  /// Collapses example `i` to its true candidate. Before the fix, stales
+  /// the selection cells whose horizon `i` reaches (see
+  /// FastSelectionScores).
   void CleanExample(int i);
+  /// Drops the selection table unless it is current for `dirty` and the
+  /// working dataset, then allocates it when empty.
+  void PrepareSelection(const std::vector<int>& dirty,
+                        const std::vector<int>& active);
+  /// Scores validation point `v`'s cells for `dirty` into table row `row`
+  /// with `q2`, reusing the row's live cells when `row` is resident.
+  void ScoreSelectionRow(int v, int row, const std::vector<int>& dirty,
+                         FastQ2* q2, SelectionCounters* counters);
   CleaningRunResult RunLoop(bool greedy, Rng* rng);
   void LogStep(CleaningRunResult* result, int step, int cleaned_example);
 
@@ -258,6 +298,27 @@ class CleaningSession {
   int num_val_certain_ = 0;
   // False after a mutation until RefreshValCertainty runs again.
   bool val_certainty_fresh_ = false;
+
+  // FastSelectionScores' table, allocated on the first selection after a
+  // Reset. Each row holds one cell per column plus the row's unpinned
+  // entropy in its last cell. Rows [0, resident) belong to fixed
+  // validation points and carry their cells across calls; the rest are
+  // scratch for the points that did not fit.
+  struct SelectionCell {
+    double value = 0.0;
+    double horizon = 0.0;  // -infinity: stale, recompute before use
+  };
+  struct SelectionTable {
+    uint64_t version = 0;       // working_.version() the cells hold for
+    std::vector<int> col_of;    // example -> column, -1 when none
+    int cols = 0;
+    std::vector<int> row_of;    // validation point -> resident row, -1
+    std::vector<int> resident;  // resident row -> validation point
+    int rows = 0;
+    std::vector<SelectionCell> cells;  // rows x (cols + 1)
+  };
+  SelectionTable selection_;
+  SelectionCounters selection_counters_;
 };
 
 }  // namespace cpclean

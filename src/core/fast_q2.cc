@@ -297,7 +297,8 @@ double FastQ2::RunQueryImpl(int pin_tuple, int pin_cand) {
   // Two-level loop: materialize a sorted block, then scan it with a tight
   // inner loop free of the sorting machinery (EnsureSorted would otherwise
   // pin every member load inside the hot loop).
-  for (size_t idx = 0; idx < scan_.size() && !done;) {
+  size_t idx = 0;
+  while (idx < scan_.size() && !done) {
     EnsureSorted(idx);
     const size_t block_end = sorted_end_;
     for (; idx < block_end; ++idx) {
@@ -312,6 +313,7 @@ double FastQ2::RunQueryImpl(int pin_tuple, int pin_cand) {
     }
   }
 
+  last_horizon_ = ReachedSimilarity(idx);
   if (capture_support_) {
     last_support_.assign(touched_.begin(), touched_.end());
     std::sort(last_support_.begin(), last_support_.end());
@@ -385,6 +387,7 @@ void FastQ2::SweepImpl(int pin_tuple) {
     // masses, so all candidates share one entropy.
     const double entropy = ResultEntropy(total);
     std::fill(sweep_out_.begin(), sweep_out_.end(), entropy);
+    last_horizon_ = ReachedSimilarity(idx);
   } else {
     // Checkpoint the engine at the prefix boundary, then replay only the
     // suffix per candidate and roll back in between (RollBack).
@@ -392,6 +395,9 @@ void FastQ2::SweepImpl(int pin_tuple) {
     const double prefix_total = total;
     const size_t prefix_touched = touched_.size();
     const size_t prefix_idx = idx;
+    // Every suffix starts at the checkpoint, so the deepest suffix sets
+    // the sweep's horizon.
+    size_t deepest = prefix_idx;
     for (int j = 0; j < m; ++j) {
       sweep_log_.clear();
       double run_total = prefix_total;
@@ -413,6 +419,7 @@ void FastQ2::SweepImpl(int pin_tuple) {
         }
       }
       sweep_out_[static_cast<size_t>(j)] = ResultEntropy(run_total);
+      deepest = std::max(deepest, run_idx);
 
       // The last suffix needs no rollback: the end-of-query restore below
       // resets its touched paths together with the prefix's.
@@ -421,6 +428,7 @@ void FastQ2::SweepImpl(int pin_tuple) {
       touched_.resize(prefix_touched);
       std::copy(sweep_result_.begin(), sweep_result_.end(), result_.begin());
     }
+    last_horizon_ = ReachedSimilarity(deepest);
   }
 
   // Standard end-of-query restore of every touched leaf.

@@ -1,6 +1,7 @@
 #ifndef CPCLEAN_CORE_FAST_Q2_H_
 #define CPCLEAN_CORE_FAST_Q2_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -37,7 +38,13 @@ namespace cpclean {
 ///    scanned entry walks its leaf-to-root path once, folding siblings into
 ///    its boundary support and recomputing parents in the same walk; and
 ///    the end-of-query restore writes the identity up the touched paths
-///    with no multiplies. A query costs at most O(touched * K^2 log N).
+///    with no multiplies. A query costs at most O(touched * K^2 log N);
+///  * every query records its *horizon* (`last_horizon`): the similarity of
+///    the deepest scan entry it reached. A tuple whose candidates all lie
+///    strictly below the horizon was never processed, so its leaf stayed
+///    the identity; collapsing such a tuple (`FixExample`, which keeps the
+///    tree layout) leaves the query's answer bit-identical. Cleaning
+///    selection reuses scores across steps on this rule.
 ///
 /// K is capped at `kMaxK`: the boundary polynomial scratch is a fixed
 /// kMaxK+1 coefficients so queries stay allocation-free. Construction
@@ -85,6 +92,13 @@ class FastQ2 {
   /// Returns a reference to an internal buffer of `num_candidates(i)`
   /// entries, valid until the next query on this engine.
   const std::vector<double>& EntropyPinnedSweep(int i);
+
+  /// The horizon of the last query (`Fractions`, `FractionsPinned`, the
+  /// entropy variants, or a whole `EntropyPinnedSweep`): the similarity of
+  /// the deepest scan entry it reached — where it stopped at 1 - epsilon,
+  /// or the scan's last entry when it ran out. Entries strictly less
+  /// similar than the horizon took no part in the answer.
+  double last_horizon() const { return last_horizon_; }
 
   /// Least / most similar candidate of tuple `i` for the bound test point.
   double MinSimilarity(int i) const { return tuple_min_[static_cast<size_t>(i)]; }
@@ -152,6 +166,11 @@ class FastQ2 {
   std::vector<double> Run(int pin_tuple, int pin_cand);
   /// Entropy of result_ masses given their total (mirrors common Entropy).
   double ResultEntropy(double total) const;
+  /// Similarity of scan entry `idx`, or of the last entry when a scan ran
+  /// out (idx == size): the horizon of a query that ended at `idx`.
+  double ReachedSimilarity(size_t idx) const {
+    return scan_[std::min(idx, scan_.size() - 1)].similarity;
+  }
   /// Extends the sorted descending prefix of scan_ to cover `idx`.
   void EnsureSorted(size_t idx);
   void InitTrees();
@@ -185,6 +204,7 @@ class FastQ2 {
   mutable std::vector<double> floor_scratch_;
   std::vector<int> touched_;
   std::vector<double> result_;
+  double last_horizon_ = 0.0;
   bool capture_support_ = false;
   std::vector<int> last_support_;
 

@@ -65,8 +65,9 @@ struct OpHandlers {
   static Result<JsonValue> CleanStep(Server& server, const OpInfo&,
                                      const JsonValue& req) {
     CP_ASSIGN_OR_RETURN(const std::string name, RequestSessionName(req));
-    CP_ASSIGN_OR_RETURN(const std::shared_ptr<ServeSession> session,
-                        server.registry().Find(name));
+    CP_ASSIGN_OR_RETURN(
+        const std::shared_ptr<ServeSession> session,
+        server.registry().Find(name, SessionRegistry::Access::kWrite));
     CP_ASSIGN_OR_RETURN(const int steps, RequestSteps(req));
     return session->CleanStep(steps);
   }
@@ -74,8 +75,9 @@ struct OpHandlers {
   static Result<JsonValue> CleanRun(Server& server, const OpInfo&,
                                     const JsonValue& req) {
     CP_ASSIGN_OR_RETURN(const std::string name, RequestSessionName(req));
-    CP_ASSIGN_OR_RETURN(const std::shared_ptr<ServeSession> session,
-                        server.registry().Find(name));
+    CP_ASSIGN_OR_RETURN(
+        const std::shared_ptr<ServeSession> session,
+        server.registry().Find(name, SessionRegistry::Access::kWrite));
     CP_ASSIGN_OR_RETURN(const int budget, RequestBudget(req));
     return session->CleanRun(budget);
   }

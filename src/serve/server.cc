@@ -169,7 +169,7 @@ Result<JsonValue> Server::SaveSession(const JsonValue& req) {
 Result<JsonValue> Server::LoadSession(const JsonValue& req) {
   CP_ASSIGN_OR_RETURN(const std::string name, RequestString(req, "session"));
   CP_ASSIGN_OR_RETURN(const std::shared_ptr<ServeSession> session,
-                      registry_.Find(name, /*load_op=*/true));
+                      registry_.Find(name, SessionRegistry::Access::kLoad));
   // The full session snapshot doubles as the load summary (progress,
   // resolved options, version).
   return session->Stats();

@@ -135,10 +135,12 @@ struct ServerOptions {
 /// naming them, or via `load_session`). A transition that meets another's
 /// claim on a name waits for it to settle. The sweep retires its victim
 /// (draining in-flight writers) before the save commits: a write
-/// acknowledged after the save was prepared triggers a re-save, and a
-/// write arriving on the retired instance answers Unavailable("evicted;
-/// retry") — the retry lands on the rehydrated incarnation, so
-/// acknowledged writes survive eviction in every interleaving.
+/// acknowledged after the save was prepared triggers a re-save. A write
+/// whose lookup meets the retiring entry waits for the eviction to settle
+/// and lands on the rehydrated incarnation; one that looked the session up
+/// just before the sweep claimed it answers Unavailable("evicted; retry"),
+/// and the retry lands there. So acknowledged writes survive eviction in
+/// every interleaving.
 ///
 /// Transports: `RunStdio` (requests on stdin, responses on stdout) and
 /// `ServeTcp` (loopback listener on an epoll event loop: `poller_threads`

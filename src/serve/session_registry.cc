@@ -554,10 +554,14 @@ Status SessionRegistry::Create(std::shared_ptr<ServeSession> session) {
 }
 
 Result<std::shared_ptr<ServeSession>> SessionRegistry::Find(
-    const std::string& name, bool load_op) {
+    const std::string& name, Access access) {
+  const bool load_op = access == Access::kLoad;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    const auto it = AwaitLocked(lock, name, Resident);
+    const auto it = AwaitLocked(lock, name, [access](const Entry& entry) {
+      return access == Access::kWrite ? entry.state == State::kLive
+                                      : Resident(entry);
+    });
     if (it != sessions_.end()) {
       if (load_op) {
         return Status::AlreadyExists(
@@ -575,6 +579,10 @@ Result<std::shared_ptr<ServeSession>> SessionRegistry::Find(
   }
   Result<std::shared_ptr<ServeSession>> loaded = store_->Load(name);
   (void)FaultHit("lifecycle.load");  // sleep-only scheduling point
+  // The caller's request is about to run on the loaded copy: stamp it
+  // newest, or the sweep below may pick it over sessions that served
+  // requests while it loaded.
+  if (loaded.ok()) loaded.value()->Touch();
   Settle(name, loaded.ok() ? loaded.value() : nullptr);
   CP_RETURN_NOT_OK(loaded.status());
   // Best effort: if the sweep's victim fails to save, the table stays over

@@ -106,6 +106,10 @@ class ServeSession {
   int64_t last_request_unix_ms() const {
     return last_request_ms_.load(std::memory_order_relaxed);
   }
+  /// Stamps a request into the LRU bookkeeping. The registry also stamps a
+  /// session it rehydrated for a request, so the capacity sweep that
+  /// follows the load does not evict it before the request runs.
+  void Touch();
   /// Process-wide monotone sequence of the last counted request; the
   /// eviction policy's LRU order (wall-clock ms ties under bursts).
   uint64_t last_request_seq() const {
@@ -230,8 +234,6 @@ class ServeSession {
   ServeSession(std::string name, CleaningTask task,
                const ServeSessionOptions& options, JsonValue spec);
 
-  /// Stamps this request into the LRU bookkeeping.
-  void Touch();
 
   /// `Read`'s cache-miss path: op `op`'s compute-and-render body for
   /// `point` at `version`. Runs under `Read`'s shared lock; concurrent
@@ -269,8 +271,8 @@ class SessionStore;
 /// table is in one of four states:
 ///
 ///   live      resident and serving
-///   retiring  the capacity sweep's victim, still serving while the sweep
-///             commits its save (writes answer Unavailable once retired)
+///   retiring  the capacity sweep's victim, still serving reads while the
+///             sweep commits its save (writes wait for it to settle)
 ///   loading   being rehydrated from its snapshot (no instance yet)
 ///   dropping  having its files deleted
 ///
@@ -279,9 +281,9 @@ class SessionStore;
 /// rehydrate too. retiring, loading and dropping are claims: the
 /// transition that set one does its IO outside the mutex and then settles
 /// the entry; any other transition that meets a claim waits for it
-/// (lookups of a retiring name still get its instance). An explicit save
-/// pins its live entry instead: a drop waits for the pin, the sweep skips
-/// it. So two sweeps never take one victim, and a drop never interleaves
+/// (read lookups of a retiring name still get its instance). An explicit
+/// save pins its live entry instead: a drop waits for the pin, the sweep
+/// skips it. So two sweeps never take one victim, and a drop never interleaves
 /// with a load or a save commit.
 ///
 /// The mutex is never held across snapshot IO, a task build or a session
@@ -309,11 +311,21 @@ class SessionRegistry {
   /// sweep fails the new session is removed again.
   Status Create(std::shared_ptr<ServeSession> session);
 
-  /// The live or retiring instance, else the evicted session loaded from
-  /// its snapshot, published, and followed by the capacity sweep. With
-  /// `load_op` (load_session) a resident name is AlreadyExists instead.
+  /// What a `Find` caller is about to do with the instance.
+  enum class Access {
+    kRead,   // the live or retiring instance (a retiring one still reads)
+    kWrite,  // waits out a retiring entry, so the write lands on the live
+             // instance or on the copy rehydrated after the eviction
+    kLoad,   // load_session: a resident name is AlreadyExists
+  };
+
+  /// The resident instance `access` accepts, else the evicted session
+  /// loaded from its snapshot, published, and followed by the capacity
+  /// sweep. A write can still meet a retired instance if the sweep claims
+  /// it between this call and the write's session lock; the write then
+  /// answers Unavailable("evicted; retry").
   Result<std::shared_ptr<ServeSession>> Find(const std::string& name,
-                                             bool load_op = false);
+                                             Access access = Access::kRead);
 
   /// Persists the live session, pinned while it saves. False, without
   /// saving, when the name is evicted: its snapshot is its current state.

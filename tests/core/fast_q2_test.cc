@@ -410,5 +410,58 @@ TEST(FastQ2PruningTest, MinMaxSimilarityReported) {
   EXPECT_DOUBLE_EQ(fast.MaxSimilarity(1), -1.0);
 }
 
+TEST(FastQ2HorizonTest, CleaningBelowTheHorizonKeepsBits) {
+  // A query never processes an entry less similar than its horizon, so
+  // collapsing a tuple whose best candidate lies strictly below it (which
+  // keeps labels and hence the tree layout) must leave the answer bit for
+  // bit unchanged — the rule cleaning selection carries its cells on. The
+  // cleaned tuple is the one just below the horizon, the tightest case.
+  NegativeEuclideanKernel kernel;
+  int checked = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    RandomDatasetSpec spec;
+    spec.num_examples = 120;
+    spec.max_candidates = 4;
+    spec.num_labels = 3;
+    spec.seed = seed;
+    const IncompleteDataset original = MakeRandomDataset(spec);
+    const std::vector<double> t = MakeRandomTestPoint(spec.dim, seed);
+    FastQ2 before(&original, /*k=*/3, 1e-9);
+    before.SetTestPoint(t, kernel);
+    const double unpinned = before.EntropyUnpinned();
+    const double unpinned_horizon = before.last_horizon();
+    for (const int pin : MostSimilarDirty(original, before, 4)) {
+      const std::vector<double> sweep = before.EntropyPinnedSweep(pin);
+      const double sweep_horizon = before.last_horizon();
+      const double horizon = std::min(sweep_horizon, unpinned_horizon);
+      int cleaned_tuple = -1;
+      for (const int i : original.DirtyExamples()) {
+        if (i == pin || before.MaxSimilarity(i) >= horizon) continue;
+        if (cleaned_tuple < 0 || before.MaxSimilarity(i) >
+                                     before.MaxSimilarity(cleaned_tuple)) {
+          cleaned_tuple = i;
+        }
+      }
+      if (cleaned_tuple < 0) continue;
+      IncompleteDataset cleaned = original;
+      cleaned.FixExample(cleaned_tuple,
+                         original.num_candidates(cleaned_tuple) - 1);
+      FastQ2 after(&cleaned, /*k=*/3, 1e-9);
+      after.SetTestPoint(t, kernel);
+      EXPECT_EQ(Bits(after.EntropyUnpinned()), Bits(unpinned))
+          << "seed " << seed << " cleaned " << cleaned_tuple;
+      EXPECT_EQ(after.last_horizon(), unpinned_horizon);
+      std::vector<uint64_t> want, got;
+      AppendBits(sweep, &want);
+      AppendBits(after.EntropyPinnedSweep(pin), &got);
+      EXPECT_EQ(got, want) << "seed " << seed << " pin " << pin
+                           << " cleaned " << cleaned_tuple;
+      EXPECT_EQ(after.last_horizon(), sweep_horizon);
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 10) << "too few tuples below a horizon to test";
+}
+
 }  // namespace
 }  // namespace cpclean

@@ -7,14 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/string_util.h"
 #include "serve/op_registry.h"
 #include "serve/server.h"
@@ -334,6 +337,44 @@ TEST(SessionStoreTest, EvictedSessionRefusesLateWritesOnDetachedInstance) {
   const JsonValue retried = ParseOk(
       server.HandleLine("{\"op\":\"clean_step\",\"session\":\"w1\"}"));
   EXPECT_EQ(CleanedIds(retried), CleanedIds(twin_step));
+}
+
+TEST(SessionStoreTest, WriteMeetingTheRetiringEntryWaitsForTheEviction) {
+  // A clean_step whose lookup meets the sweep's retiring entry waits for
+  // the eviction to settle and lands on the rehydrated copy, instead of
+  // reaching the retired instance and answering Unavailable. A stretched
+  // snapshot rename holds w1 retiring (retired, its save committing) for
+  // long enough that the clean_step below arrives inside that window.
+  const std::string dir = FreshDataDir("retiring_write");
+  Server server = MakeServer(dir, /*max_sessions=*/1);
+  ParseOk(server.HandleLine(CreateRequest("w1", 91)));
+  ASSERT_TRUE(FaultInjection::Configure("store.rename=sleep:600").ok());
+  std::thread evictor([&server] {
+    // Creating w2 evicts w1 (the LRU) through the stretched rename.
+    ParseOk(server.HandleLine(CreateRequest("w2", 92)));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const std::string response =
+      server.HandleLine("{\"op\":\"clean_step\",\"session\":\"w1\"}");
+  evictor.join();
+  FaultInjection::Clear();
+  const JsonValue stepped = ParseOk(response);
+  ASSERT_EQ(CleanedIds(stepped).size(), 1u) << response;
+
+  // The step is in w1's durable state: a fresh server over the same data
+  // dir cleans next what an uninterrupted twin cleans second.
+  ParseOk(server.HandleLine("{\"op\":\"save_session\",\"session\":\"w1\"}"));
+  Server twin = MakeServer("");
+  ParseOk(twin.HandleLine(CreateRequest("w1", 91)));
+  const std::vector<int> want =
+      CleanedIds(ParseOk(twin.HandleLine(
+          "{\"op\":\"clean_step\",\"session\":\"w1\",\"steps\":2}")));
+  ASSERT_EQ(want.size(), 2u);
+  EXPECT_EQ(CleanedIds(stepped).front(), want[0]);
+  Server restarted = MakeServer(dir, /*max_sessions=*/1);
+  EXPECT_EQ(CleanedIds(ParseOk(restarted.HandleLine(
+                "{\"op\":\"clean_step\",\"session\":\"w1\"}"))),
+            std::vector<int>{want[1]});
 }
 
 TEST(SessionStoreTest, WriteDuringEvictionSnapshotTriggersDirtyResave) {
