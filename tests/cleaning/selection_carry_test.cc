@@ -185,10 +185,21 @@ CleaningSession::SelectionCounters ConvergeCounters(const CleaningTask& task,
   NegativeEuclideanKernel kernel;
   CleaningSession session(&task, &kernel, Options(threads, bound));
   session.RunCpClean();
+  return session.selection_counters();
+}
+
+TEST(SelectionCarryTest, CountersRepeatExactly) {
+  // The counters are cumulative; a second converge (RunCpClean resets
+  // first) must add exactly the first one's work.
+  const PreparedExperiment prepared = MakePrepared(41);
+  NegativeEuclideanKernel kernel;
+  CleaningSession session(&prepared.task, &kernel,
+                          Options(4, size_t{2} << 20));
+  session.RunCpClean();
   const CleaningSession::SelectionCounters first = session.selection_counters();
-  // A second converge (RunCpClean resets first) repeats the same work.
   session.RunCpClean();
   const CleaningSession::SelectionCounters& both = session.selection_counters();
+  EXPECT_GT(first.cells_scored, 0u);
   EXPECT_EQ(both.cells_scored, 2 * first.cells_scored);
   EXPECT_EQ(both.cells_reused, 2 * first.cells_reused);
   EXPECT_EQ(both.cells_pruned, 2 * first.cells_pruned);
@@ -196,10 +207,9 @@ CleaningSession::SelectionCounters ConvergeCounters(const CleaningTask& task,
   EXPECT_EQ(both.q2.multiplies, 2 * first.q2.multiplies);
   EXPECT_EQ(both.q2.identity_skips, 2 * first.q2.identity_skips);
   EXPECT_EQ(both.q2.restore_writes, 2 * first.q2.restore_writes);
-  return first;
 }
 
-TEST(SelectionCarryTest, CountersRepeatMatchAcrossThreadsAndShowSavings) {
+TEST(SelectionCarryTest, CountersMatchAcrossThreadsAndShowSavings) {
   // Every bound scores the same cells over a converge; carrying turns some
   // of them into reuses and saves their multiplies.
   const PreparedExperiment prepared = MakePrepared(41);
