@@ -402,6 +402,8 @@ def main():
     # Cycles whose kill landed after the session reached a state no earlier
     # cycle had: a cycle that only replays old states tortures nothing new.
     advanced = 0
+    # Cycles whose kill was armed before their first clean_step.
+    early_kills = 0
 
     decoys = 0
     for iteration in range(args.iterations):
@@ -446,10 +448,18 @@ def main():
             acked = max(acked, known[bits])
 
             # Now advance-record-save as fast as possible, and pull the
-            # plug mid-stream. The kill is armed after the first step: that
-            # step rescores every selection cell (a restarted server
-            # carries no scores), which would outlast most kill windows.
+            # plug mid-stream. The first step after a restart rescores every
+            # selection cell (a restarted server carries no scores) and
+            # outlasts most short kill windows, so most cycles arm the kill
+            # once that step and its save are acknowledged: it lands among
+            # the fast steps and saves that follow. Every third cycle arms
+            # it before the first step, with a window wide enough to cover
+            # that slow step and the rehydrated session's first save.
             timer = None
+            if iteration % 3 == 1:
+                early_kills += 1
+                timer = threading.Timer(rng.uniform(0.005, 0.3), proc.kill)
+                timer.start()
             try:
                 while True:
                     response = client.rpc(
@@ -509,11 +519,11 @@ def main():
 
     print(
         "crash torture OK (mode=%s): %d kill/restart cycles over %s (%d "
-        "reached a new state), %d distinct session states verified "
-        "bit-identical, %d kills left temp litter (all swept on restart), "
-        "last acked step %d"
-        % (args.mode, args.iterations, data_dir, advanced, len(known),
-           kills_with_litter, acked)
+        "reached a new state, %d armed the kill before the first step), %d "
+        "distinct session states verified bit-identical, %d kills left temp "
+        "litter (all swept on restart), last acked step %d"
+        % (args.mode, args.iterations, data_dir, advanced, early_kills,
+           len(known), kills_with_litter, acked)
     )
     if args.data_dir is None:
         shutil.rmtree(data_dir, ignore_errors=True)

@@ -244,52 +244,69 @@ std::vector<double> CleaningSession::FastSelectionScores(
     if (!val_certain_[v]) active.push_back(static_cast<int>(v));
   }
   if (active.empty() || dirty.empty()) return score;
-  PrepareSelection(dirty, active);
-  const SelectionTable& table = selection_;
-  const size_t width = static_cast<size_t>(table.cols) + 1;
-  const int resident = static_cast<int>(table.resident.size());
 
   // One FastQ2 engine per worker (trees and scan are query-local state);
-  // each active validation point fills its own table row, and the
-  // reduction replays additions in ascending validation order — so score
-  // is bit-identical for every num_threads, including the serial pre-pool
-  // behavior at num_threads = 1. Resident rows belong to the lowest active
-  // points, so the first block holds them all plus as many streamed points
-  // as the scratch rows take; later blocks stream the rest. Per dirty
-  // example the additions form a left fold in ascending validation order
-  // whatever the partition, so the bound never changes a score bit.
+  // each active validation point fills its own row, and the reduction
+  // replays additions in ascending validation order — so score is
+  // bit-identical for every num_threads, including the serial pre-pool
+  // behavior at num_threads = 1.
   const int workers = pool_->num_threads();
   std::vector<std::unique_ptr<FastQ2>> engines(static_cast<size_t>(workers));
   std::vector<SelectionCounters> tally(static_cast<size_t>(workers));
-  std::vector<std::pair<int, int>> block;  // (validation point, row)
-  for (size_t next = 0; next < active.size();) {
-    block.clear();
-    int scratch = resident;
-    for (; next < active.size(); ++next) {
-      const int v = active[next];
-      int row = table.row_of[static_cast<size_t>(v)];
-      if (row < 0) {
-        if (scratch == table.rows) break;
-        row = scratch++;
-      }
-      block.emplace_back(v, row);
+  const auto score_row = [&](int v, SelectionCell* cells, double* out,
+                             int worker) {
+    auto& engine = engines[static_cast<size_t>(worker)];
+    if (!engine) {
+      engine = std::make_unique<FastQ2>(&working_, options_.k,
+                                        options_.fast_epsilon);
     }
+    ScoreSelectionRow(v, dirty, cells, out, engine.get(),
+                      &tally[static_cast<size_t>(worker)]);
+  };
+  if (PrepareSelection(dirty, active)) {
+    // Every active point has a table row that carries its cells across
+    // calls.
+    const SelectionTable& table = selection_;
+    const size_t width = static_cast<size_t>(table.cols) + 1;
+    const auto row_cells = [&](int v) {
+      return selection_.cells.data() +
+             static_cast<size_t>(table.row_of[static_cast<size_t>(v)]) * width;
+    };
     pool_->ParallelFor(
-        static_cast<int64_t>(block.size()), [&](int64_t b, int worker) {
-          auto& engine = engines[static_cast<size_t>(worker)];
-          if (!engine) {
-            engine = std::make_unique<FastQ2>(&working_, options_.k,
-                                              options_.fast_epsilon);
-          }
-          const auto [v, row] = block[static_cast<size_t>(b)];
-          ScoreSelectionRow(v, row, dirty, engine.get(),
-                            &tally[static_cast<size_t>(worker)]);
+        static_cast<int64_t>(active.size()), [&](int64_t b, int worker) {
+          const int v = active[static_cast<size_t>(b)];
+          score_row(v, row_cells(v), nullptr, worker);
         });
-    for (const auto& [v, row] : block) {
-      const SelectionCell* cells =
-          table.cells.data() + static_cast<size_t>(row) * width;
+    for (const int v : active) {
+      const SelectionCell* cells = row_cells(v);
       for (size_t p = 0; p < dirty.size(); ++p) {
         score[p] += cells[table.col_of[static_cast<size_t>(dirty[p])]].value;
+      }
+    }
+  } else {
+    // The rows do not all fit in options_.max_contrib_bytes: validation
+    // points are streamed in ordered blocks of value-only rows sized to the
+    // bound — O(block x |dirty|) memory instead of O(|active_val| x
+    // |dirty|) — and nothing is carried. Per dirty example the additions
+    // form a left fold in ascending validation order whatever the block
+    // partition, so the bound — like the thread count — never changes a
+    // score bit.
+    const size_t row_bytes = dirty.size() * sizeof(double);
+    const size_t block =
+        std::min(active.size(),
+                 std::max<size_t>(1, options_.max_contrib_bytes / row_bytes));
+    std::vector<double> contrib(block * dirty.size());
+    for (size_t base = 0; base < active.size(); base += block) {
+      const size_t count = std::min(block, active.size() - base);
+      pool_->ParallelFor(
+          static_cast<int64_t>(count), [&](int64_t b, int worker) {
+            score_row(active[base + static_cast<size_t>(b)], nullptr,
+                      contrib.data() + static_cast<size_t>(b) * dirty.size(),
+                      worker);
+          });
+      for (size_t b = 0; b < count; ++b) {
+        const double* row = contrib.data() + b * dirty.size();
+        for (size_t p = 0; p < dirty.size(); ++p) score[p] += row[p];
       }
     }
   }
@@ -313,7 +330,7 @@ std::vector<double> CleaningSession::FastSelectionScores(
   return score;
 }
 
-void CleaningSession::PrepareSelection(const std::vector<int>& dirty,
+bool CleaningSession::PrepareSelection(const std::vector<int>& dirty,
                                        const std::vector<int>& active) {
   SelectionTable& table = selection_;
   if (!table.cells.empty()) {
@@ -321,82 +338,75 @@ void CleaningSession::PrepareSelection(const std::vector<int>& dirty,
     for (size_t p = 0; current && p < dirty.size(); ++p) {
       current = table.col_of[static_cast<size_t>(dirty[p])] >= 0;
     }
-    if (current) return;
+    for (size_t a = 0; current && a < active.size(); ++a) {
+      current = table.row_of[static_cast<size_t>(active[a])] >= 0;
+    }
+    if (current) return true;
     table = SelectionTable{};
   }
+  // Carry only when every active point's row fits the bound.
+  const size_t row_bytes = (dirty.size() + 1) * sizeof(SelectionCell);
+  if (active.size() > options_.max_contrib_bytes / row_bytes) return false;
   table.version = working_.version();
   table.col_of.assign(static_cast<size_t>(working_.num_examples()), -1);
   for (const int i : dirty) {
     int& col = table.col_of[static_cast<size_t>(i)];
     if (col < 0) col = table.cols++;
   }
-  // Every active point gets a resident row when all fit. Otherwise half of
-  // what fits (at least one row) is scratch for streaming, and the rest
-  // stays resident for the lowest active points; certainty is monotone, so
-  // no point outside the table becomes active before the next Reset.
-  const size_t row_bytes =
-      (static_cast<size_t>(table.cols) + 1) * sizeof(SelectionCell);
-  const size_t fit = options_.max_contrib_bytes / row_bytes;
-  size_t resident = active.size();
-  size_t rows = active.size();
-  if (active.size() > fit) {
-    rows = std::max<size_t>(1, fit);
-    resident = rows / 2;
-  }
-  table.rows = static_cast<int>(rows);
+  table.points = active;
   table.row_of.assign(task_->val_x.size(), -1);
-  table.resident.assign(active.begin(),
-                        active.begin() + static_cast<ptrdiff_t>(resident));
-  for (size_t r = 0; r < resident; ++r) {
+  for (size_t r = 0; r < active.size(); ++r) {
     table.row_of[static_cast<size_t>(active[r])] = static_cast<int>(r);
   }
-  table.cells.assign(rows * (static_cast<size_t>(table.cols) + 1),
+  table.cells.assign(active.size() * (static_cast<size_t>(table.cols) + 1),
                      SelectionCell{0.0, kStale});
+  return true;
 }
 
-void CleaningSession::ScoreSelectionRow(int v, int row,
-                                        const std::vector<int>& dirty,
+void CleaningSession::ScoreSelectionRow(int v, const std::vector<int>& dirty,
+                                        SelectionCell* cells, double* out,
                                         FastQ2* q2,
-                                        SelectionCounters* counters) {
-  SelectionTable& table = selection_;
-  const size_t width = static_cast<size_t>(table.cols) + 1;
-  SelectionCell* cells = table.cells.data() + static_cast<size_t>(row) * width;
-  SelectionCell& unpinned = cells[table.cols];
-  // A scratch row holds another point's cells: nothing in it is live.
-  const bool carried = row < static_cast<int>(table.resident.size());
-  bool unpinned_live = carried && unpinned.horizon != kStale;
+                                        SelectionCounters* counters) const {
   q2->SetTestPoint(task_->val_x[static_cast<size_t>(v)], *kernel_);
   const double floor = q2->TopKFloor();
-  for (const int i : dirty) {
-    SelectionCell& cell = cells[table.col_of[static_cast<size_t>(i)]];
+  // A table row keeps its unpinned entropy in its last cell; a streamed
+  // row computes it at most once per call.
+  SelectionCell streamed_unpinned{0.0, kStale};
+  SelectionCell& unpinned =
+      cells != nullptr ? cells[selection_.cols] : streamed_unpinned;
+  bool unpinned_live = cells != nullptr && unpinned.horizon != kStale;
+  for (size_t p = 0; p < dirty.size(); ++p) {
+    const int i = dirty[p];
+    SelectionCell streamed{0.0, kStale};
+    SelectionCell& cell =
+        cells != nullptr ? cells[selection_.col_of[static_cast<size_t>(i)]]
+                         : streamed;
     if (q2->MaxSimilarity(i) < floor) {
       // Tuple i can never enter this point's top-K in any world, so
       // pinning it leaves the label distribution unchanged. The floor only
       // rises under cleaning, so this branch is re-decided on every call.
       if (!unpinned_live) {
-        unpinned.value = q2->EntropyUnpinned();
-        unpinned.horizon = q2->last_horizon();
+        unpinned = SelectionCell{q2->EntropyUnpinned(), q2->last_horizon()};
         unpinned_live = true;
       }
       cell = SelectionCell{unpinned.value, kStale};
       ++counters->cells_pruned;
-      continue;
-    }
-    if (carried && cell.horizon != kStale) {
+    } else if (cell.horizon != kStale) {
       ++counters->cells_reused;
-      continue;
+    } else {
+      const int m = working_.num_candidates(i);
+      // One sweep shares the boundary-scan prefix across all m candidates;
+      // summing its entries in candidate order keeps the reduction
+      // bit-identical to m separate EntropyPinned calls.
+      const std::vector<double>& pinned = q2->EntropyPinnedSweep(i);
+      double sum = 0.0;
+      for (int j = 0; j < m; ++j) {
+        sum += pinned[static_cast<size_t>(j)];
+      }
+      cell = SelectionCell{sum / static_cast<double>(m), q2->last_horizon()};
+      ++counters->cells_scored;
     }
-    const int m = working_.num_candidates(i);
-    // One sweep shares the boundary-scan prefix across all m candidates;
-    // summing its entries in candidate order keeps the reduction
-    // bit-identical to m separate EntropyPinned calls.
-    const std::vector<double>& pinned = q2->EntropyPinnedSweep(i);
-    double sum = 0.0;
-    for (int j = 0; j < m; ++j) {
-      sum += pinned[static_cast<size_t>(j)];
-    }
-    cell = SelectionCell{sum / static_cast<double>(m), q2->last_horizon()};
-    ++counters->cells_scored;
+    if (out != nullptr) out[p] = cell.value;
   }
 }
 
@@ -415,8 +425,8 @@ void CleaningSession::CleanExample(int i) {
     const size_t width = static_cast<size_t>(table.cols) + 1;
     const int col = table.col_of[static_cast<size_t>(i)];
     std::vector<double> sims(static_cast<size_t>(m));
-    for (size_t r = 0; r < table.resident.size(); ++r) {
-      const int v = table.resident[r];
+    for (size_t r = 0; r < table.points.size(); ++r) {
+      const int v = table.points[r];
       if (val_certain_[static_cast<size_t>(v)]) continue;  // never scored again
       // The same per-row kernel arithmetic as FastQ2::SetTestPoint.
       kernel_->SimilarityBatchNorms(

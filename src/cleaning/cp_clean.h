@@ -55,18 +55,19 @@ struct CpCleanOptions {
   /// fill disjoint per-point slots and the floating-point reductions replay
   /// in validation order on one thread.
   int num_threads = 0;
-  /// Upper bound in bytes on FastSelectionScores' selection table: one row
-  /// per validation point of (value, horizon) cells, 16 bytes per dirty
-  /// example plus one for the row's unpinned entropy. When every active
-  /// validation point's row fits, all rows stay resident and carry their
-  /// cells across cleaning steps. Otherwise about half the rows that fit
-  /// stay resident for the lowest-indexed points, and the remaining points
-  /// stream through the other half in ordered blocks and are recomputed on
-  /// every call; a bound below one row (e.g. 1) streams one row at a time
-  /// and carries nothing. The per-example reduction is a left fold in
-  /// ascending validation order whatever the partition, and a carried cell
-  /// is bit-identical to a recomputed one, so every value — like every
-  /// thread count — yields bit-identical scores.
+  /// Upper bound in bytes on FastSelectionScores' selection memory. When
+  /// every active validation point's row of (value, horizon) cells fits —
+  /// 16 bytes per dirty example plus one for the row's unpinned entropy —
+  /// the table is kept and its cells carry across cleaning steps; it holds
+  /// up to this many bytes between calls, until Reset, Restore or another
+  /// mutation drops it. Otherwise nothing is carried: validation
+  /// points are streamed in ordered blocks of
+  /// `max_contrib_bytes / (8 * |dirty|)` value-only rows (floored at one
+  /// row), O(block x |dirty|) memory freed after each call. The
+  /// per-example reduction is a left fold in ascending validation order
+  /// whatever the partition, and a carried cell is bit-identical to a
+  /// recomputed one, so every value — like every thread count — yields
+  /// bit-identical scores.
   size_t max_contrib_bytes = size_t{2} << 20;
 };
 
@@ -147,14 +148,15 @@ class CleaningSession {
   /// parallelized over validation points. Public for the determinism tests
   /// and benchmarks; RunCpClean is the intended entry point.
   ///
-  /// Each (validation point v, example i) cell is kept between calls with
-  /// its horizon (`FastQ2::last_horizon`). Cleaning an example c stales
+  /// When the rows fit `max_contrib_bytes`, each (validation point v,
+  /// example i) cell is kept between calls with its horizon
+  /// (`FastQ2::last_horizon`). Cleaning an example c stales
   /// only the cells of each v whose horizon c's most similar candidate for
   /// v reaches; every other cell's query would process the same scan
   /// entries again, so a call recomputes only the stale cells and reuses
   /// the rest bit for bit. The never-in-top-K branch is re-decided on every
   /// call. `Reset`, `Restore`, any mutation of the working dataset other
-  /// than a cleaning step, and an example outside the table's columns drop
+  /// than a cleaning step, and an example or point outside the table drop
   /// the whole table.
   std::vector<double> FastSelectionScores(const std::vector<int>& dirty);
 
@@ -266,14 +268,23 @@ class CleaningSession {
   /// the selection cells whose horizon `i` reaches (see
   /// FastSelectionScores).
   void CleanExample(int i);
-  /// Drops the selection table unless it is current for `dirty` and the
-  /// working dataset, then allocates it when empty.
-  void PrepareSelection(const std::vector<int>& dirty,
+  /// True when the selection table holds a row for every `active` point
+  /// and a column for every `dirty` example, current for the working
+  /// dataset; builds a fresh table when the old one is not and the rows
+  /// fit `max_contrib_bytes`. False: stream, carry nothing.
+  bool PrepareSelection(const std::vector<int>& dirty,
                         const std::vector<int>& active);
-  /// Scores validation point `v`'s cells for `dirty` into table row `row`
-  /// with `q2`, reusing the row's live cells when `row` is resident.
-  void ScoreSelectionRow(int v, int row, const std::vector<int>& dirty,
-                         FastQ2* q2, SelectionCounters* counters);
+  // One FastSelectionScores cell: a score and the horizon it holds for.
+  struct SelectionCell {
+    double value = 0.0;
+    double horizon = 0.0;  // -infinity: stale, recompute before use
+  };
+  /// Scores validation point `v` for `dirty` with `q2`. `cells` non-null:
+  /// v's table row, whose live cells are reused and whose recomputed cells
+  /// are stored with their horizons. `out` non-null: receives the values.
+  void ScoreSelectionRow(int v, const std::vector<int>& dirty,
+                         SelectionCell* cells, double* out, FastQ2* q2,
+                         SelectionCounters* counters) const;
   CleaningRunResult RunLoop(bool greedy, Rng* rng);
   void LogStep(CleaningRunResult* result, int step, int cleaned_example);
 
@@ -300,22 +311,16 @@ class CleaningSession {
   bool val_certainty_fresh_ = false;
 
   // FastSelectionScores' table, allocated on the first selection after a
-  // Reset. Each row holds one cell per column plus the row's unpinned
-  // entropy in its last cell. Rows [0, resident) belong to fixed
-  // validation points and carry their cells across calls; the rest are
-  // scratch for the points that did not fit.
-  struct SelectionCell {
-    double value = 0.0;
-    double horizon = 0.0;  // -infinity: stale, recompute before use
-  };
+  // Reset whose rows fit max_contrib_bytes. Row r belongs to validation
+  // point points[r] and holds one cell per column plus the row's unpinned
+  // entropy in its last cell.
   struct SelectionTable {
     uint64_t version = 0;       // working_.version() the cells hold for
     std::vector<int> col_of;    // example -> column, -1 when none
     int cols = 0;
-    std::vector<int> row_of;    // validation point -> resident row, -1
-    std::vector<int> resident;  // resident row -> validation point
-    int rows = 0;
-    std::vector<SelectionCell> cells;  // rows x (cols + 1)
+    std::vector<int> row_of;  // validation point -> row, -1 when none
+    std::vector<int> points;  // row -> validation point
+    std::vector<SelectionCell> cells;  // points.size() x (cols + 1)
   };
   SelectionTable selection_;
   SelectionCounters selection_counters_;

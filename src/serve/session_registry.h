@@ -32,7 +32,8 @@ struct ServeSessionOptions {
   int num_threads = 0;
   /// Max resident entries in the per-session result cache (0 disables).
   size_t cache_capacity = 1024;
-  /// FastSelectionScores streaming bound (see CpCleanOptions).
+  /// FastSelectionScores memory bound (see CpCleanOptions). A session
+  /// whose selection table fits keeps it resident between requests.
   size_t max_contrib_bytes = size_t{2} << 20;
   /// Non-empty: back the session's working candidate slab with an unlinked
   /// mmap scratch file under this directory (the server's `--storage-mode`

@@ -110,9 +110,9 @@ std::vector<int> ColdOrder(const CleaningTask& task) {
   return order;
 }
 
-// Default bound (every row resident), a bound of a few rows (half resident,
-// half scratch) and 1 byte (one scratch row, nothing carried).
-constexpr size_t kBounds[] = {size_t{2} << 20, size_t{4096}, size_t{1}};
+// Default bound (every row fits, cells carried) and 1 byte (one streamed
+// row at a time, nothing carried).
+constexpr size_t kBounds[] = {size_t{2} << 20, size_t{1}};
 
 class SelectionCarryBoundTest : public ::testing::TestWithParam<size_t> {};
 
@@ -229,19 +229,14 @@ TEST(SelectionCarryTest, CountersMatchAcrossThreadsAndShowSavings) {
         << bound;
   }
   const CleaningSession::SelectionCounters& carried = serial[0];
-  const CleaningSession::SelectionCounters& partial = serial[1];
-  const CleaningSession::SelectionCounters& streamed = serial[2];
+  const CleaningSession::SelectionCounters& streamed = serial[1];
+  EXPECT_GT(carried.cells_reused, 0u);
   EXPECT_EQ(streamed.cells_reused, 0u);
-  EXPECT_GT(partial.cells_reused, 0u);
-  EXPECT_LT(partial.cells_reused, carried.cells_reused);
   // The branch decision does not depend on the bound.
   EXPECT_EQ(carried.cells_pruned, streamed.cells_pruned);
-  EXPECT_EQ(partial.cells_pruned, streamed.cells_pruned);
-  const uint64_t swept = streamed.cells_scored;
-  EXPECT_EQ(carried.cells_scored + carried.cells_reused, swept);
-  EXPECT_EQ(partial.cells_scored + partial.cells_reused, swept);
-  EXPECT_LT(carried.q2.multiplies, partial.q2.multiplies);
-  EXPECT_LT(partial.q2.multiplies, streamed.q2.multiplies);
+  EXPECT_EQ(carried.cells_scored + carried.cells_reused,
+            streamed.cells_scored);
+  EXPECT_LT(carried.q2.multiplies, streamed.q2.multiplies);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -343,21 +344,37 @@ TEST(SessionStoreTest, WriteMeetingTheRetiringEntryWaitsForTheEviction) {
   // A clean_step whose lookup meets the sweep's retiring entry waits for
   // the eviction to settle and lands on the rehydrated copy, instead of
   // reaching the retired instance and answering Unavailable. A stretched
-  // snapshot rename holds w1 retiring (retired, its save committing) for
-  // long enough that the clean_step below arrives inside that window.
+  // snapshot rename holds w1 retiring (retired, its save committing); the
+  // clean_step below is sent once that rename has begun and before the
+  // evicting create returns, so it must meet the retiring entry.
   const std::string dir = FreshDataDir("retiring_write");
   Server server = MakeServer(dir, /*max_sessions=*/1);
   ParseOk(server.HandleLine(CreateRequest("w1", 91)));
   ASSERT_TRUE(FaultInjection::Configure("store.rename=sleep:600").ok());
-  std::thread evictor([&server] {
+  std::atomic<bool> create_returned{false};
+  std::thread evictor([&server, &create_returned] {
     // Creating w2 evicts w1 (the LRU) through the stretched rename.
     ParseOk(server.HandleLine(CreateRequest("w2", 92)));
+    create_returned = true;
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const auto rename_hits = [] {
+    for (const FaultInjection::SiteStats& site : FaultInjection::Stats()) {
+      if (site.site == "store.rename") return site.hits;
+    }
+    return uint64_t{0};
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (rename_hits() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool inside_rename = rename_hits() > 0 && !create_returned;
   const std::string response =
       server.HandleLine("{\"op\":\"clean_step\",\"session\":\"w1\"}");
   evictor.join();
   FaultInjection::Clear();
+  ASSERT_TRUE(inside_rename)
+      << "the clean_step was not sent while the eviction's rename slept";
   const JsonValue stepped = ParseOk(response);
   ASSERT_EQ(CleanedIds(stepped).size(), 1u) << response;
 
