@@ -8,7 +8,9 @@
 
 #include <cstdio>
 
+#include "common/stats.h"
 #include "core/certain_predictor.h"
+#include "core/fast_q2.h"
 #include "incomplete/incomplete_dataset.h"
 #include "knn/kernel.h"
 
@@ -26,12 +28,14 @@ int main() {
               train.NumPossibleWorlds().ToString().c_str());
 
   NegativeEuclideanKernel kernel;
-  CertainPredictor predictor(&kernel, /*k=*/1);
+  CertainPredictor predictor(&kernel, /*k=*/1);  // Q1
+  FastQ2 counter(&train, /*k=*/1);               // Q2
 
   for (double t : {29.0, 5.0}) {
     const std::vector<double> test = {t};
     const auto certain = predictor.CertainLabel(train, test);
-    const auto probs = predictor.LabelProbabilities(train, test);
+    counter.SetTestPoint(test, kernel);
+    const std::vector<double> probs = counter.Fractions();
     std::printf("t = %4.1f | ", t);
     if (certain.has_value()) {
       std::printf("certainly predicted label %d", *certain);
@@ -39,7 +43,7 @@ int main() {
       std::printf("NOT certain");
     }
     std::printf("  (world fractions: label0=%.3f label1=%.3f, entropy=%.3f)\n",
-                probs[0], probs[1], predictor.PredictionEntropy(train, test));
+                probs[0], probs[1], Entropy(probs));
   }
   return 0;
 }

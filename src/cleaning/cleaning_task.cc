@@ -3,9 +3,14 @@
 #include <cmath>
 #include <limits>
 
+#include "cleaning/importance.h"
 #include "cleaning/imputers.h"
+#include "cleaning/missing_injector.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/string_util.h"
+#include "data/split.h"
+#include "datasets/synthetic.h"
 #include "knn/knn_classifier.h"
 
 namespace cpclean {
@@ -151,6 +156,48 @@ Result<CleaningTask> BuildCleaningTask(const Table& dirty_train,
     task.test_y.push_back(y);
   }
   return task;
+}
+
+Result<PreparedExperiment> PrepareExperiment(const ExperimentConfig& config,
+                                             const SimilarityKernel& kernel) {
+  Rng rng(config.seed ^ config.dataset.synthetic.seed);
+
+  CP_ASSIGN_OR_RETURN(Table full, GenerateSynthetic(config.dataset.synthetic));
+  CP_ASSIGN_OR_RETURN(DataSplit split,
+                      TrainValTestSplit(full, config.dataset.val_size,
+                                        config.dataset.test_size, &rng));
+  CP_ASSIGN_OR_RETURN(const int label_col,
+                      full.schema().FieldIndex(SyntheticLabelColumn()));
+
+  // Feature importance measured on clean data (paper §5.1), then MNAR
+  // injection into the training partition only.
+  CP_ASSIGN_OR_RETURN(
+      const std::vector<double> importance,
+      ComputeFeatureImportance(split.train, split.val, label_col, config.k,
+                               kernel));
+  InjectionOptions injection;
+  injection.missing_rate = config.dataset.missing_rate;
+  CP_ASSIGN_OR_RETURN(
+      Table dirty_train,
+      InjectMissing(split.train, label_col, importance, injection, &rng));
+
+  PreparedExperiment prepared;
+  prepared.observed_missing_rate =
+      static_cast<double>(dirty_train.CountMissing()) /
+      static_cast<double>(dirty_train.num_rows() *
+                          (dirty_train.num_columns() - 1));
+  CP_ASSIGN_OR_RETURN(
+      prepared.task,
+      BuildCleaningTask(dirty_train, split.train, split.val, split.test,
+                        SyntheticLabelColumn(), config.repair_options));
+  prepared.dirty_rows = static_cast<int>(prepared.task.DirtyRows().size());
+
+  const CleaningTask& task = prepared.task;
+  prepared.ground_truth_test_accuracy = task.AccuracyWith(
+      task.clean_train_x, task.test_x, task.test_y, kernel, config.k);
+  prepared.default_test_accuracy = task.AccuracyWith(
+      task.default_x, task.test_x, task.test_y, kernel, config.k);
+  return prepared;
 }
 
 }  // namespace cpclean

@@ -1,6 +1,7 @@
 #ifndef CPCLEAN_CLEANING_CLEANING_TASK_H_
 #define CPCLEAN_CLEANING_CLEANING_TASK_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -8,6 +9,7 @@
 #include "common/result.h"
 #include "data/encoder.h"
 #include "data/table.h"
+#include "datasets/paper_datasets.h"
 #include "incomplete/incomplete_dataset.h"
 #include "knn/kernel.h"
 
@@ -68,6 +70,37 @@ Result<CleaningTask> BuildCleaningTask(
     const Table& dirty_train, const Table& clean_train, const Table& val,
     const Table& test, const std::string& label_name,
     const RepairOptions& repair_options = RepairOptions());
+
+/// End-to-end experiment configuration shared by the Table 2 / Figure 9 /
+/// Figure 10 harnesses and the serving layer's "paper"/"synthetic" task
+/// sources.
+struct ExperimentConfig {
+  PaperDatasetSpec dataset;
+  int k = 3;
+  uint64_t seed = 1;
+  RepairOptions repair_options;
+  /// Worker threads for the CPClean inner loops (see
+  /// CpCleanOptions::num_threads): 0 = hardware concurrency, 1 = serial.
+  /// Results are bit-identical for every value.
+  int num_threads = 0;
+};
+
+/// A dataset instantiated for experiments: generated, split, injected
+/// with MNAR missing values, and packaged as a CleaningTask; plus the two
+/// accuracy anchors of the paper's protocol.
+struct PreparedExperiment {
+  CleaningTask task;
+  double ground_truth_test_accuracy = 0.0;
+  double default_test_accuracy = 0.0;
+  double observed_missing_rate = 0.0;
+  int dirty_rows = 0;
+};
+
+/// Generates the synthetic table, splits train/val/test, measures feature
+/// importance on the clean data, injects MNAR missing values into the
+/// training partition only, and builds the CleaningTask.
+Result<PreparedExperiment> PrepareExperiment(const ExperimentConfig& config,
+                                             const SimilarityKernel& kernel);
 
 }  // namespace cpclean
 

@@ -6,13 +6,19 @@
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
-#include "common/stats.h"
 #include "common/string_util.h"
 #include "core/certain_predictor.h"
 #include "core/fast_q2.h"
 #include "knn/knn_classifier.h"
 
 namespace cpclean {
+
+namespace {
+
+// Streaming window for file-backed candidate scans.
+constexpr size_t kStreamWindowBytes = size_t{1} << 20;
+
+}  // namespace
 
 CleaningSession::CleaningSession(const CleaningTask* task,
                                  const SimilarityKernel* kernel,
@@ -86,8 +92,8 @@ void CleaningSession::ApplyWorkingStorage() {
   if (!storage_.mmap_scratch_dir.empty()) {
     // Fallback to RAM on failure: the modes are bit-identical, and a
     // Restore mid-flight has no way to surface a scratch-dir error.
-    const Status backed = working_.BackWithFile(
-        storage_.mmap_scratch_dir, storage_.stream_window_bytes);
+    const Status backed =
+        working_.BackWithFile(storage_.mmap_scratch_dir, kStreamWindowBytes);
     (void)backed;
   }
 }
@@ -97,8 +103,8 @@ Status CleaningSession::ConfigureWorkingStorage(
   storage_ = storage;
   if (storage_.journal) working_.EnableJournal();
   if (!storage_.mmap_scratch_dir.empty()) {
-    CP_RETURN_NOT_OK(working_.BackWithFile(storage_.mmap_scratch_dir,
-                                           storage_.stream_window_bytes));
+    CP_RETURN_NOT_OK(
+        working_.BackWithFile(storage_.mmap_scratch_dir, kStreamWindowBytes));
   }
   return Status::OK();
 }
@@ -199,26 +205,6 @@ double CleaningSession::CurrentTestAccuracy() const {
                              options_.k);
 }
 
-double CleaningSession::MeanValEntropy() const {
-  const CertainPredictor predictor(kernel_, options_.k);
-  const int64_t num_val = static_cast<int64_t>(task_->val_x.size());
-  std::vector<double> entropy(task_->val_x.size(), 0.0);
-  pool_->ParallelFor(num_val, [&](int64_t v, int) {
-    if (val_certain_[static_cast<size_t>(v)]) return;
-    entropy[static_cast<size_t>(v)] = predictor.PredictionEntropy(
-        working_, task_->val_x[static_cast<size_t>(v)]);
-  });
-  // Reduce in validation order so the sum is thread-count-invariant.
-  double total = 0.0;
-  for (size_t v = 0; v < task_->val_x.size(); ++v) {
-    if (val_certain_[v]) continue;
-    total += entropy[v];
-  }
-  return task_->val_x.empty()
-             ? 0.0
-             : total / static_cast<double>(task_->val_x.size());
-}
-
 namespace {
 
 // A selection cell that must be recomputed before use. A real horizon of
@@ -257,8 +243,7 @@ std::vector<double> CleaningSession::FastSelectionScores(
                              int worker) {
     auto& engine = engines[static_cast<size_t>(worker)];
     if (!engine) {
-      engine = std::make_unique<FastQ2>(&working_, options_.k,
-                                        options_.fast_epsilon);
+      engine = std::make_unique<FastQ2>(&working_, options_.k);
     }
     ScoreSelectionRow(v, dirty, cells, out, engine.get(),
                       &tally[static_cast<size_t>(worker)]);
@@ -507,7 +492,6 @@ void CleaningSession::LogStep(CleaningRunResult* result, int step,
   if (cleaned_example >= 0) RecordAudit(cleaned_example);
   log.test_accuracy =
       options_.track_test_accuracy ? CurrentTestAccuracy() : 0.0;
-  log.mean_val_entropy = options_.track_entropy ? MeanValEntropy() : 0.0;
   result->steps.push_back(log);
 }
 

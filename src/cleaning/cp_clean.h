@@ -19,7 +19,6 @@ struct CleaningStepLog {
   int cleaned_example = -1;  // train row cleaned at this step (-1: baseline)
   double frac_val_certain = 0.0;  // fraction of validation points CP'ed
   double test_accuracy = 0.0;     // KNN on the current best-guess world
-  double mean_val_entropy = 0.0;  // mean Q2 prediction entropy over val
 };
 
 /// Full trace of a cleaning run.
@@ -39,18 +38,12 @@ struct CpCleanOptions {
   /// Evaluate test accuracy at every step (the Figure 9 blue series);
   /// disable to speed up pure-cleaning-effort measurements.
   bool track_test_accuracy = true;
-  /// Track mean validation entropy at every step (costs one Q2 sweep).
-  bool track_entropy = false;
-  /// Mass tolerance for FastQ2's early termination (the greedy selection
-  /// runs on FastQ2: precomputed scans, early termination, never-in-top-K
-  /// pruning).
-  double fast_epsilon = 1e-9;
   /// Worker threads for the independent per-validation-point loops
-  /// (selection scores, certainty refresh, entropy tracking). 0 = the
-  /// process-global shared pool (`GlobalThreadPool()`, hardware concurrency
-  /// by default) so concurrent sessions share cores; any positive value
-  /// gives this session a private pool of exactly that size (1 = fully
-  /// serial, no worker threads, the pre-pool code path). Every value
+  /// (selection scores, certainty refresh). 0 = the process-global shared
+  /// pool (`GlobalThreadPool()`, hardware concurrency by default) so
+  /// concurrent sessions share cores; any positive value gives this
+  /// session a private pool of exactly that size (1 = fully serial, no
+  /// worker threads, the pre-pool code path). Every value
   /// produces bit-identical scores, cleaning order, and step logs: workers
   /// fill disjoint per-point slots and the floating-point reductions replay
   /// in validation order on one thread.
@@ -80,10 +73,9 @@ struct WorkingStorageOptions {
   /// O(delta) persistence through the append-only cleaning log.
   bool journal = false;
   /// Non-empty: back the working flat slab with an unlinked mmap scratch
-  /// file under this directory; empty: plain RAM.
+  /// file under this directory (streamed in 1 MiB windows); empty: plain
+  /// RAM.
   std::string mmap_scratch_dir;
-  /// Streaming window for file-backed candidate scans.
-  size_t stream_window_bytes = size_t{1} << 20;
 };
 
 /// One cleaning decision and its certification effect: the 1-based step
@@ -263,7 +255,6 @@ class CleaningSession {
   /// (call right after its RefreshValCertainty).
   void RecordAudit(int example);
   double CurrentTestAccuracy() const;
-  double MeanValEntropy() const;
   /// Collapses example `i` to its true candidate. Before the fix, stales
   /// the selection cells whose horizon `i` reaches (see
   /// FastSelectionScores).

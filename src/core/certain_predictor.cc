@@ -1,9 +1,7 @@
 #include "core/certain_predictor.h"
 
 #include "common/logging.h"
-#include "common/stats.h"
 #include "core/mm.h"
-#include "core/ss1.h"
 #include "core/ss_dc.h"
 
 namespace cpclean {
@@ -32,19 +30,6 @@ std::optional<int> CertainPredictor::CertainLabel(
 bool CertainPredictor::IsCertain(const IncompleteDataset& dataset,
                                  const std::vector<double>& t) const {
   return Check(dataset, t).CertainLabel() >= 0;
-}
-
-std::vector<double> CertainPredictor::LabelProbabilities(
-    const IncompleteDataset& dataset, const std::vector<double>& t) const {
-  if (k_ == 1) {
-    return Ss1Count<DoubleSemiring, true>(dataset, t, *kernel_).per_label;
-  }
-  return SsDcCount<DoubleSemiring, true>(dataset, t, *kernel_, k_).per_label;
-}
-
-double CertainPredictor::PredictionEntropy(const IncompleteDataset& dataset,
-                                           const std::vector<double>& t) const {
-  return Entropy(LabelProbabilities(dataset, t));
 }
 
 }  // namespace cpclean

@@ -10,19 +10,14 @@
 
 namespace cpclean {
 
-/// Facade over the CP query engines — the main entry point of the library.
+/// Facade over the Q1 (checking) engines: given a kernel and K, is a KNN
+/// classifier's prediction over an incomplete dataset the same in every
+/// possible world? MM answers binary tasks and Boolean-semiring SS-DC
+/// multi-class ones.
 ///
-/// Given a kernel and K, answers the paper's two primitives for a KNN
-/// classifier over an incomplete dataset:
-///   Q1 (checking):  `Check` / `CertainLabel` — is the prediction the same
-///                   in every possible world?
-///   Q2 (counting):  `LabelProbabilities` — the fraction of possible worlds
-///                   predicting each label (block tuple-independent
-///                   probabilistic-database semantics with uniform prior).
-///
-/// Engine selection: Q1 uses MM (binary) or Boolean-semiring SS-DC
-/// (multi-class); Q2 uses the K=1 product-tree fast path when K == 1 and
-/// SS-DC otherwise, in normalized doubles.
+/// Q2 (counting: the fraction of possible worlds predicting each label)
+/// has one production engine, `FastQ2` (core/fast_q2.h); the other Q2
+/// engines (core/ss1.h, core/ss_dc.h, core/brute_force.h) are oracles.
 class CertainPredictor {
  public:
   /// `kernel` is borrowed and must outlive the predictor; `k >= 1`.
@@ -42,15 +37,6 @@ class CertainPredictor {
   /// True iff the test point can be CP'ed.
   bool IsCertain(const IncompleteDataset& dataset,
                  const std::vector<double>& t) const;
-
-  /// Q2 as a probability distribution over labels (sums to ~1).
-  std::vector<double> LabelProbabilities(const IncompleteDataset& dataset,
-                                         const std::vector<double>& t) const;
-
-  /// Shannon entropy (natural log) of `LabelProbabilities` — the
-  /// per-example term of the CPClean objective (paper Equation 3).
-  double PredictionEntropy(const IncompleteDataset& dataset,
-                           const std::vector<double>& t) const;
 
  private:
   const SimilarityKernel* kernel_;

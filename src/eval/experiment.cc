@@ -4,58 +4,10 @@
 
 #include "cleaning/boost_clean.h"
 #include "cleaning/holo_clean.h"
-#include "cleaning/importance.h"
-#include "cleaning/imputers.h"
-#include "cleaning/missing_injector.h"
-#include "common/logging.h"
 #include "common/rng.h"
-#include "data/split.h"
-#include "datasets/synthetic.h"
 #include "eval/metrics.h"
 
 namespace cpclean {
-
-Result<PreparedExperiment> PrepareExperiment(const ExperimentConfig& config,
-                                             const SimilarityKernel& kernel) {
-  Rng rng(config.seed ^ config.dataset.synthetic.seed);
-
-  CP_ASSIGN_OR_RETURN(Table full, GenerateSynthetic(config.dataset.synthetic));
-  CP_ASSIGN_OR_RETURN(DataSplit split,
-                      TrainValTestSplit(full, config.dataset.val_size,
-                                        config.dataset.test_size, &rng));
-  CP_ASSIGN_OR_RETURN(const int label_col,
-                      full.schema().FieldIndex(SyntheticLabelColumn()));
-
-  // Feature importance measured on clean data (paper §5.1), then MNAR
-  // injection into the training partition only.
-  CP_ASSIGN_OR_RETURN(
-      const std::vector<double> importance,
-      ComputeFeatureImportance(split.train, split.val, label_col, config.k,
-                               kernel));
-  InjectionOptions injection;
-  injection.missing_rate = config.dataset.missing_rate;
-  CP_ASSIGN_OR_RETURN(
-      Table dirty_train,
-      InjectMissing(split.train, label_col, importance, injection, &rng));
-
-  PreparedExperiment prepared;
-  prepared.observed_missing_rate =
-      static_cast<double>(dirty_train.CountMissing()) /
-      static_cast<double>(dirty_train.num_rows() *
-                          (dirty_train.num_columns() - 1));
-  CP_ASSIGN_OR_RETURN(
-      prepared.task,
-      BuildCleaningTask(dirty_train, split.train, split.val, split.test,
-                        SyntheticLabelColumn(), config.repair_options));
-  prepared.dirty_rows = static_cast<int>(prepared.task.DirtyRows().size());
-
-  const CleaningTask& task = prepared.task;
-  prepared.ground_truth_test_accuracy = task.AccuracyWith(
-      task.clean_train_x, task.test_x, task.test_y, kernel, config.k);
-  prepared.default_test_accuracy = task.AccuracyWith(
-      task.default_x, task.test_x, task.test_y, kernel, config.k);
-  return prepared;
-}
 
 Result<Table2Row> RunTable2Row(const ExperimentConfig& config,
                                const SimilarityKernel& kernel) {
@@ -149,12 +101,10 @@ Result<CleaningCurves> RunCleaningCurves(const ExperimentConfig& config,
     for (const auto& run : runs) {
       mean.frac_val_certain += run.steps[s].frac_val_certain;
       mean.test_accuracy += run.steps[s].test_accuracy;
-      mean.mean_val_entropy += run.steps[s].mean_val_entropy;
     }
     const double denom = static_cast<double>(runs.size());
     mean.frac_val_certain /= denom;
     mean.test_accuracy /= denom;
-    mean.mean_val_entropy /= denom;
     curves.random_clean_mean.push_back(mean);
   }
   return curves;

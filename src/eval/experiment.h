@@ -1,47 +1,19 @@
 #ifndef CPCLEAN_EVAL_EXPERIMENT_H_
 #define CPCLEAN_EVAL_EXPERIMENT_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
+// ExperimentConfig, PreparedExperiment and PrepareExperiment — the task
+// preparation every harness below starts from — live beside
+// BuildCleaningTask, so the serving layer can build tasks without linking
+// the experiment runners.
 #include "cleaning/cleaning_task.h"
 #include "cleaning/cp_clean.h"
 #include "common/result.h"
-#include "datasets/paper_datasets.h"
 #include "knn/kernel.h"
 
 namespace cpclean {
-
-/// End-to-end experiment configuration shared by the Table 2 / Figure 9 /
-/// Figure 10 harnesses.
-struct ExperimentConfig {
-  PaperDatasetSpec dataset;
-  int k = 3;
-  uint64_t seed = 1;
-  RepairOptions repair_options;
-  /// Worker threads for the CPClean inner loops (see
-  /// CpCleanOptions::num_threads): 0 = hardware concurrency, 1 = serial.
-  /// Results are bit-identical for every value.
-  int num_threads = 0;
-};
-
-/// A dataset instantiated for experiments: generated, split, injected
-/// with MNAR missing values, and packaged as a CleaningTask; plus the two
-/// accuracy anchors of the paper's protocol.
-struct PreparedExperiment {
-  CleaningTask task;
-  double ground_truth_test_accuracy = 0.0;
-  double default_test_accuracy = 0.0;
-  double observed_missing_rate = 0.0;
-  int dirty_rows = 0;
-};
-
-/// Generates the synthetic table, splits train/val/test, measures feature
-/// importance on the clean data, injects MNAR missing values into the
-/// training partition only, and builds the CleaningTask.
-Result<PreparedExperiment> PrepareExperiment(const ExperimentConfig& config,
-                                             const SimilarityKernel& kernel);
 
 /// One row of the paper's Table 2.
 struct Table2Row {

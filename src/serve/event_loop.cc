@@ -77,9 +77,13 @@ void SendAll(int fd, const std::string& data) {
 
 }  // namespace
 
-EventLoop::EventLoop(Server* server, int listen_fd, EventLoopOptions options)
-    : server_(server), listen_fd_(listen_fd), options_(options) {
-  if (options_.poller_threads < 1) options_.poller_threads = 1;
+EventLoop::EventLoop(Server* server, int listen_fd,
+                     const ServerOptions& options, int metrics_listen_fd)
+    : server_(server),
+      listen_fd_(listen_fd),
+      options_(options),
+      metrics_listen_fd_(metrics_listen_fd),
+      num_pollers_(std::max(options.poller_threads, 1)) {
   num_workers_ = options_.request_workers > 0 ? options_.request_workers
                                               : ThreadPool::HardwareThreads();
   overload_line_ = ErrorLine(
@@ -130,8 +134,8 @@ Status EventLoop::Run() {
   // briefly free a slot, accept the surplus connection, and turn it away
   // with a structured line instead of leaving it dangling in the backlog.
   spare_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-  pollers_.reserve(static_cast<size_t>(options_.poller_threads));
-  for (int i = 0; i < options_.poller_threads; ++i) {
+  pollers_.reserve(static_cast<size_t>(num_pollers_));
+  for (int i = 0; i < num_pollers_; ++i) {
     auto p = std::make_unique<Poller>();
     p->epoll_fd = ::epoll_create1(0);
     p->wake_fd = ::eventfd(0, EFD_NONBLOCK);
@@ -143,7 +147,7 @@ Status EventLoop::Run() {
       // Already-built pollers stay in pollers_; the destructor closes
       // their fds after the loop is unpublished (see ~EventLoop).
       ::close(listen_fd_);
-      if (options_.metrics_listen_fd >= 0) ::close(options_.metrics_listen_fd);
+      if (metrics_listen_fd_ >= 0) ::close(metrics_listen_fd_);
       return status;
     }
     epoll_event ev{};
@@ -159,16 +163,16 @@ Status EventLoop::Run() {
     ::epoll_ctl(pollers_[0]->epoll_fd, EPOLL_CTL_ADD, listen_fd_, &ev);
     listener_open_.store(true);
   }
-  if (options_.metrics_listen_fd >= 0) {
+  if (metrics_listen_fd_ >= 0) {
     // The /metrics listener shares poller 0 with the main listener; its
     // connections are one-shot HTTP GETs and never touch the work queue.
-    const int flags = ::fcntl(options_.metrics_listen_fd, F_GETFL, 0);
-    ::fcntl(options_.metrics_listen_fd, F_SETFL, flags | O_NONBLOCK);
+    const int flags = ::fcntl(metrics_listen_fd_, F_GETFL, 0);
+    ::fcntl(metrics_listen_fd_, F_SETFL, flags | O_NONBLOCK);
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.fd = options_.metrics_listen_fd;
+    ev.data.fd = metrics_listen_fd_;
     ::epoll_ctl(pollers_[0]->epoll_fd, EPOLL_CTL_ADD,
-                options_.metrics_listen_fd, &ev);
+                metrics_listen_fd_, &ev);
     metrics_listener_open_.store(true);
   }
 
@@ -178,8 +182,8 @@ Status EventLoop::Run() {
     workers.emplace_back([this] { WorkerLoop(); });
   }
   std::vector<std::thread> pollers;
-  pollers.reserve(static_cast<size_t>(options_.poller_threads - 1));
-  for (int i = 1; i < options_.poller_threads; ++i) {
+  pollers.reserve(static_cast<size_t>(num_pollers_ - 1));
+  for (int i = 1; i < num_pollers_; ++i) {
     pollers.emplace_back([this, i] { PollerLoop(i); });
   }
   PollerLoop(0);  // the caller is poller 0
@@ -197,7 +201,7 @@ Status EventLoop::Run() {
 
   if (listener_open_.exchange(false)) ::close(listen_fd_);
   if (metrics_listener_open_.exchange(false)) {
-    ::close(options_.metrics_listen_fd);
+    ::close(metrics_listen_fd_);
   }
   if (spare_fd_ >= 0) {
     ::close(spare_fd_);
@@ -226,9 +230,9 @@ void EventLoop::PollerLoop(int index) {
         ::close(listen_fd_);
       }
       if (index == 0 && metrics_listener_open_.exchange(false)) {
-        ::epoll_ctl(p.epoll_fd, EPOLL_CTL_DEL, options_.metrics_listen_fd,
+        ::epoll_ctl(p.epoll_fd, EPOLL_CTL_DEL, metrics_listen_fd_,
                     nullptr);
-        ::close(options_.metrics_listen_fd);
+        ::close(metrics_listen_fd_);
       }
       // Graceful: stop reading (lines already framed still get answers,
       // unread socket bytes are dropped — the thread-per-connection
@@ -272,7 +276,7 @@ void EventLoop::PollerLoop(int index) {
         AcceptReady(p);
         continue;
       }
-      if (index == 0 && fd == options_.metrics_listen_fd &&
+      if (index == 0 && fd == metrics_listen_fd_ &&
           metrics_listener_open_.load()) {
         AcceptMetricsReady(p);
         continue;
@@ -491,7 +495,7 @@ void EventLoop::AcceptReady(Poller& p) {
 
 void EventLoop::AcceptMetricsReady(Poller& p) {
   while (true) {
-    const int client = ::accept4(options_.metrics_listen_fd, nullptr,
+    const int client = ::accept4(metrics_listen_fd_, nullptr,
                                  nullptr, SOCK_NONBLOCK);
     if (client < 0) {
       if (errno == EINTR) continue;

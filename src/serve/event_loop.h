@@ -7,7 +7,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -22,59 +21,7 @@
 namespace cpclean {
 
 class Server;
-
-/// Transport knobs, filled from `ServerOptions` by `Server::ServeTcp`.
-struct EventLoopOptions {
-  /// Event-loop threads holding the connections. One poller comfortably
-  /// multiplexes thousands of mostly idle connections; more pollers only
-  /// spread the read/write/framing work.
-  int poller_threads = 1;
-  /// Threads executing dispatched requests. 0 = hardware concurrency.
-  int request_workers = 0;
-  /// Accept-time admission: connections beyond this receive a structured
-  /// Unavailable line and are closed. 0 = unlimited.
-  int max_connections = 0;
-  /// Request-level admission: dispatched-but-unanswered requests beyond
-  /// this bound are answered Unavailable immediately instead of queueing.
-  /// 0 = unlimited. This — not the connection count — is what bounds the
-  /// work in flight: thousands of idle connections cost only their fds.
-  int max_inflight = 0;
-  /// Merge identical `q2` requests that are waiting at the same time into
-  /// one engine evaluation, fanned back to every waiter with its own id.
-  bool coalesce_q2 = true;
-  /// Per-request deadline: a request still unanswered this long after
-  /// dispatch is answered DeadlineExceeded (with its own id) and the
-  /// worker's eventual result is discarded whole — never half-written.
-  /// The connection survives. 0 = no deadline. Granularity is the poll
-  /// tick (~100 ms).
-  int request_timeout_ms = 0;
-  /// Connections with no traffic in either direction for this long (and
-  /// nothing pending) are closed. 0 = never.
-  int idle_timeout_ms = 0;
-  /// Largest accepted request line; longer ones are answered with a
-  /// structured InvalidArgument and the connection is closed (it is
-  /// mid-garbage — resynchronizing on the next newline would be a guess).
-  /// Bounds per-connection input memory. 0 = unlimited.
-  size_t max_request_bytes = 1 << 20;
-  /// Slow-client backpressure, soft bound: once this many response bytes
-  /// are queued on a connection, its reads pause (EPOLLIN off) until the
-  /// backlog halves. 0 = never pause.
-  size_t output_hwm_bytes = 4 << 20;
-  /// Slow-client backpressure, hard cap: a connection whose queued
-  /// response bytes reach this is closed — a stalled reader bounds its
-  /// cost at this number, never at "all of RAM". 0 = unlimited.
-  size_t max_output_bytes = 32 << 20;
-  /// An already-listening loopback fd serving HTTP `GET /metrics`
-  /// (Prometheus text) on poller 0, or -1 for none. Owned by the loop
-  /// (closed by `Run`). Metrics connections bypass `max_connections`:
-  /// observability must keep working under overload.
-  int metrics_listen_fd = -1;
-  /// Requests whose span total exceeds this emit one structured JSON log
-  /// line with the full phase breakdown. 0 = disabled.
-  int slow_request_ms = 0;
-  /// Sink for slow-request lines; defaults to stderr when empty.
-  std::function<void(const std::string&)> slow_log;
-};
+struct ServerOptions;
 
 /// The epoll transport behind `Server::ServeTcp`.
 ///
@@ -101,9 +48,13 @@ struct EventLoopOptions {
 /// overload identical points collapse into one evaluation.
 class EventLoop {
  public:
-  /// Borrows `server` for dispatch and counters; takes ownership of
+  /// Borrows `server` for dispatch and counters and `options` (the
+  /// transport knobs) for the loop's lifetime; takes ownership of
   /// `listen_fd` (already bound and listening, closed by `Run`).
-  EventLoop(Server* server, int listen_fd, EventLoopOptions options);
+  /// `metrics_listen_fd` is an already-listening loopback fd serving HTTP
+  /// `GET /metrics` on poller 0, or -1 for none; the loop owns it too.
+  EventLoop(Server* server, int listen_fd, const ServerOptions& options,
+            int metrics_listen_fd);
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -235,7 +186,9 @@ class EventLoop {
 
   Server* server_;
   int listen_fd_;
-  EventLoopOptions options_;
+  const ServerOptions& options_;
+  int metrics_listen_fd_;
+  int num_pollers_ = 1;
   int num_workers_ = 1;
   std::string overload_line_;      // pre-rendered accept-time rejection
   std::string fd_exhausted_line_;  // pre-rendered EMFILE rejection

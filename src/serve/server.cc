@@ -509,21 +509,7 @@ Status Server::ServeTcp(int port) {
   listen_fd_.store(fd);
   bound_port_.store(static_cast<int>(ntohs(addr.sin_port)));
 
-  EventLoopOptions loop_options;
-  loop_options.poller_threads = options_.poller_threads;
-  loop_options.request_workers = options_.request_workers;
-  loop_options.max_connections = options_.max_connections;
-  loop_options.max_inflight = options_.max_inflight;
-  loop_options.coalesce_q2 = options_.coalesce_q2;
-  loop_options.request_timeout_ms = options_.request_timeout_ms;
-  loop_options.idle_timeout_ms = options_.idle_timeout_ms;
-  loop_options.max_request_bytes = options_.max_request_bytes;
-  loop_options.output_hwm_bytes = options_.output_hwm_bytes;
-  loop_options.max_output_bytes = options_.max_output_bytes;
-  loop_options.metrics_listen_fd = metrics_fd;  // loop owns it from here
-  loop_options.slow_request_ms = options_.slow_request_ms;
-  loop_options.slow_log = options_.slow_log;
-  EventLoop loop(this, fd, loop_options);
+  EventLoop loop(this, fd, options_, metrics_fd);  // loop owns both fds
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     loop_ = &loop;

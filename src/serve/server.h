@@ -43,7 +43,9 @@ struct ServerOptions {
   /// Max concurrent TCP connections; further accepts receive a structured
   /// Unavailable error and are closed. This guards the fd table only —
   /// idle connections are nearly free under the event loop, so the limit
-  /// can sit orders of magnitude above `max_inflight`. 0 = unlimited.
+  /// can sit orders of magnitude above `max_inflight`. Metrics
+  /// connections bypass it: observability keeps working under overload.
+  /// 0 = unlimited.
   int max_connections = 0;
   /// Event-loop threads holding the connections (listener + framing +
   /// response flushing). One poller multiplexes thousands of mostly idle
@@ -61,7 +63,8 @@ struct ServerOptions {
   /// Per-request deadline on the TCP transport: a request unanswered this
   /// long after dispatch returns DeadlineExceeded (with its id) and the
   /// worker's late result is discarded whole. The connection survives.
-  /// 0 = no deadline.
+  /// 0 = no deadline. Granularity is the event loop's poll tick (~100 ms),
+  /// as for `idle_timeout_ms`.
   int request_timeout_ms = 0;
   /// TCP connections idle (no bytes either way, nothing pending) this long
   /// are closed. 0 = never.
@@ -70,8 +73,9 @@ struct ServerOptions {
   /// structured InvalidArgument and the connection closes. 0 = unlimited.
   size_t max_request_bytes = 1 << 20;
   /// Slow-client backpressure (TCP): pause reading a connection once this
-  /// many response bytes are queued on it (soft), close it at
-  /// `max_output_bytes` (hard). 0 disables either bound.
+  /// many response bytes are queued on it (soft; reads resume once the
+  /// backlog halves), close it at `max_output_bytes` (hard). 0 disables
+  /// either bound.
   size_t output_hwm_bytes = 4 << 20;
   size_t max_output_bytes = 32 << 20;
   /// Loopback HTTP `GET /metrics` listener (Prometheus text exposition) on

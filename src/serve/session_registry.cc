@@ -114,10 +114,9 @@ Result<std::shared_ptr<ServeSession>> ServeSession::Make(
   clean_options.k = options.k;
   clean_options.num_threads = options.num_threads;
   clean_options.max_contrib_bytes = options.max_contrib_bytes;
-  // Serving sessions step incrementally; the run-loop bookkeeping knobs
-  // (per-step accuracy / entropy traces) stay off.
+  // Serving sessions step incrementally; the run-loop's per-step accuracy
+  // trace stays off.
   clean_options.track_test_accuracy = false;
-  clean_options.track_entropy = false;
   CP_ASSIGN_OR_RETURN(
       session->cleaner_,
       CleaningSession::Create(&session->task_, session->kernel_.get(),
@@ -129,7 +128,6 @@ Result<std::shared_ptr<ServeSession>> ServeSession::Make(
   WorkingStorageOptions storage;
   storage.journal = true;
   storage.mmap_scratch_dir = options.mmap_scratch_dir;
-  storage.stream_window_bytes = options.stream_window_bytes;
   CP_RETURN_NOT_OK(session->cleaner_->ConfigureWorkingStorage(storage));
   session->engines_ = std::make_unique<EnginePool>(
       &session->cleaner_->working(), options.k);

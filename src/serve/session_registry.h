@@ -39,8 +39,6 @@ struct ServeSessionOptions {
   /// mmap scratch file under this directory (the server's `--storage-mode`
   /// resolution; not a per-request knob, so not parsed from specs).
   std::string mmap_scratch_dir;
-  /// Streaming window for file-backed candidate scans.
-  size_t stream_window_bytes = size_t{1} << 20;
 };
 
 /// Maps the wire kernel names ("neg_euclidean", "rbf", "linear", "cosine")

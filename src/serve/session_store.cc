@@ -152,8 +152,6 @@ Result<CleaningTask> BuildTaskFromSpec(const JsonValue& spec) {
         RequestDoubleOr(spec, "missing_rate", config.dataset.missing_rate));
     CP_ASSIGN_OR_RETURN(config.k, RequestIntParam(spec, "k", 3));
     config.seed = static_cast<uint64_t>(seed);
-    CP_ASSIGN_OR_RETURN(config.num_threads,
-                        RequestIntParam(spec, "num_threads", 0));
     CP_ASSIGN_OR_RETURN(const std::string kernel_name,
                         RequestStringOr(spec, "kernel", "neg_euclidean"));
     CP_ASSIGN_OR_RETURN(const KernelKind kind,
@@ -736,7 +734,6 @@ Result<std::shared_ptr<ServeSession>> SessionStore::Load(
   // snapshot saved under --storage-mode=ram rehydrates into mmap mode
   // (or back) without any format change — the two are bit-identical.
   options.mmap_scratch_dir = options_.mmap_scratch_dir;
-  options.stream_window_bytes = options_.stream_window_bytes;
   CP_ASSIGN_OR_RETURN(CleaningTask task, BuildTaskFromSpec(spec));
   if (TaskFingerprint(task) != want_fingerprint) {
     // The working dataset is bit-verified separately (RestoreCleaning);

@@ -48,7 +48,6 @@ struct SessionStoreOptions {
   /// WorkingStorageOptions): non-empty `mmap_scratch_dir` backs their
   /// candidate slab with an unlinked mmap scratch file there.
   std::string mmap_scratch_dir;
-  size_t stream_window_bytes = size_t{1} << 20;
 };
 
 /// Snapshot persistence and lifecycle policy for serving sessions: the

@@ -1,7 +1,10 @@
 // Build-substrate smoke test: links every layer library into one binary and
 // touches one .cc-defined symbol per layer, so underlinking, ODR breaks, or
 // a layer dropped from the CMake graph fail this test instead of surfacing
-// later as mysterious downstream link errors.
+// later as mysterious downstream link errors. `cpclean::all` reaches every
+// layer through the DAG's two roots, `eval` and `serve`; serve does not
+// link eval, so the eval symbol below also checks that the aggregate keeps
+// both roots.
 
 #include <gtest/gtest.h>
 

@@ -6,7 +6,9 @@
 #include <set>
 
 #include "cleaning/missing_injector.h"
+#include "common/stats.h"
 #include "core/certain_predictor.h"
+#include "core/ss_dc.h"
 #include "data/split.h"
 #include "datasets/synthetic.h"
 #include "eval/experiment.h"
@@ -108,13 +110,14 @@ TEST(CleaningSessionTest, BudgetStopsEarly) {
 /// Reference selection score (paper Equation 4): the expected mean
 /// validation entropy after cleaning example `i` of `working`, averaging
 /// over its candidates as equally likely truths. Computed from scratch
-/// with CertainPredictor's SS-DC engine on a copy of the dataset. Only the
-/// `uncertain` validation points contribute: a certain point has zero
-/// entropy in every refinement, and the production selection skips it.
+/// with the double SS-DC engine on a copy of the dataset, independent of
+/// FastQ2. Only the `uncertain` validation points contribute: a certain
+/// point has zero entropy in every refinement, and the production
+/// selection skips it.
 double ReferenceExpectedEntropy(
     const IncompleteDataset& working,
     const std::vector<std::vector<double>>& uncertain, size_t num_val,
-    const CertainPredictor& predictor, int i) {
+    const SimilarityKernel& kernel, int k, int i) {
   IncompleteDataset scratch = working;
   const std::vector<std::vector<double>> saved = working.example(i).candidates;
   double expected = 0.0;
@@ -122,7 +125,8 @@ double ReferenceExpectedEntropy(
     scratch.ReplaceCandidates(i, {truth});
     double entropy_sum = 0.0;
     for (const std::vector<double>& v : uncertain) {
-      entropy_sum += predictor.PredictionEntropy(scratch, v);
+      entropy_sum += Entropy(
+          SsDcCount<DoubleSemiring, true>(scratch, v, kernel, k).per_label);
     }
     expected += entropy_sum / static_cast<double>(num_val);
   }
@@ -154,7 +158,8 @@ TEST(CleaningSessionTest, FastAndReferenceSelectionAgree) {
     for (int i = 0; i < working.num_examples(); ++i) {
       if (working.num_candidates(i) < 2) continue;  // clean already
       const double e = ReferenceExpectedEntropy(
-          working, uncertain, prepared.task.val_x.size(), predictor, i);
+          working, uncertain, prepared.task.val_x.size(), kernel, options.k,
+          i);
       if (e < best) {
         best = e;
         chosen = i;

@@ -28,25 +28,6 @@ PreparedExperiment MakePrepared(uint64_t seed) {
   return PrepareExperiment(config, kernel).value();
 }
 
-TEST(SessionTrackingTest, EntropyTrackingIsMonotoneOnAverage) {
-  const PreparedExperiment prepared = MakePrepared(41);
-  NegativeEuclideanKernel kernel;
-  CpCleanOptions options;
-  options.k = 3;
-  options.track_entropy = true;
-  options.track_test_accuracy = false;
-  CleaningSession session(&prepared.task, &kernel, options);
-  const CleaningRunResult run = session.RunCpClean();
-  ASSERT_GE(run.steps.size(), 2u);
-  // Mean validation entropy must end at 0 (all points certain) and the
-  // trace must record strictly-positive entropy at the start if any
-  // cleaning was needed.
-  EXPECT_DOUBLE_EQ(run.steps.back().mean_val_entropy, 0.0);
-  if (run.examples_cleaned > 0) {
-    EXPECT_GT(run.steps.front().mean_val_entropy, 0.0);
-  }
-}
-
 TEST(SessionTrackingTest, DisabledTrackingLeavesZeros) {
   const PreparedExperiment prepared = MakePrepared(43);
   NegativeEuclideanKernel kernel;
@@ -58,7 +39,6 @@ TEST(SessionTrackingTest, DisabledTrackingLeavesZeros) {
   const CleaningRunResult run = session.RunCpClean();
   for (const auto& step : run.steps) {
     EXPECT_DOUBLE_EQ(step.test_accuracy, 0.0);
-    EXPECT_DOUBLE_EQ(step.mean_val_entropy, 0.0);
   }
   // final_test_accuracy is still computed on demand.
   EXPECT_GT(run.final_test_accuracy, 0.0);

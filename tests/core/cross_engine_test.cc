@@ -5,11 +5,11 @@
 
 #include <gtest/gtest.h>
 
-#include "common/stats.h"
 #include "core/certain_predictor.h"
 #include "core/fast_q2.h"
 #include "core/mm.h"
 #include "core/ss.h"
+#include "core/ss1.h"
 #include "core/ss_dc.h"
 #include "core/ss_dc_mc.h"
 #include "knn/kernel.h"
@@ -92,15 +92,9 @@ TEST(CertainPredictorTest, FacadeRoutesAndAgrees) {
   EXPECT_EQ(check.CertainLabel(),
             SsCheck(dataset, t, kernel, 3).CertainLabel());
   EXPECT_EQ(predictor.IsCertain(dataset, t), check.CertainLabel() >= 0);
-
-  const auto probs = predictor.LabelProbabilities(dataset, t);
-  double sum = 0.0;
-  for (double p : probs) sum += p;
-  EXPECT_NEAR(sum, 1.0, 1e-9);
-  EXPECT_NEAR(predictor.PredictionEntropy(dataset, t), Entropy(probs), 1e-12);
 }
 
-TEST(CertainPredictorTest, K1PathMatchesGeneralPath) {
+TEST(CrossEngineK1Test, Ss1MatchesSsDc) {
   RandomDatasetSpec spec;
   spec.num_examples = 25;
   spec.max_candidates = 3;
@@ -109,8 +103,8 @@ TEST(CertainPredictorTest, K1PathMatchesGeneralPath) {
   const IncompleteDataset dataset = MakeRandomDataset(spec);
   const auto t = MakeRandomTestPoint(spec.dim, 8);
   NegativeEuclideanKernel kernel;
-  const CertainPredictor k1(&kernel, 1);
-  const auto fast_path = k1.LabelProbabilities(dataset, t);  // SS1
+  const auto fast_path =
+      Ss1Count<DoubleSemiring, true>(dataset, t, kernel).per_label;
   const auto general =
       SsDcCount<DoubleSemiring, true>(dataset, t, kernel, 1).per_label;
   for (size_t y = 0; y < general.size(); ++y) {
