@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "cleaning/cp_clean.h"
+#include "core/fast_q2.h"
 #include "data/csv.h"
 #include "eval/experiment.h"
 #include "knn/kernel.h"
@@ -26,6 +27,41 @@ PreparedExperiment MakePrepared(uint64_t seed) {
   config.seed = seed;
   static NegativeEuclideanKernel kernel;
   return PrepareExperiment(config, kernel).value();
+}
+
+/// Mean Q2 entropy of the validation points over `dataset`'s worlds.
+double MeanValEntropy(const IncompleteDataset& dataset,
+                      const CleaningTask& task,
+                      const SimilarityKernel& kernel, int k) {
+  FastQ2 q2(&dataset, k);
+  double total = 0.0;
+  for (const std::vector<double>& v : task.val_x) {
+    q2.SetTestPoint(v, kernel);
+    total += q2.EntropyUnpinned();
+  }
+  return total / static_cast<double>(task.val_x.size());
+}
+
+TEST(SessionTrackingTest, EntropyTrackingIsMonotoneOnAverage) {
+  const PreparedExperiment prepared = MakePrepared(41);
+  NegativeEuclideanKernel kernel;
+  CpCleanOptions options;
+  options.k = 3;
+  options.track_test_accuracy = false;
+  CleaningSession session(&prepared.task, &kernel, options);
+  const double before =
+      MeanValEntropy(session.working(), prepared.task, kernel, options.k);
+  const CleaningRunResult run = session.RunCpClean();
+  ASSERT_GE(run.steps.size(), 2u);
+  // Mean validation entropy must end at 0 (all points certain) and be
+  // strictly positive at the start if any cleaning was needed.
+  EXPECT_TRUE(run.all_val_certain);
+  EXPECT_DOUBLE_EQ(
+      MeanValEntropy(session.working(), prepared.task, kernel, options.k),
+      0.0);
+  if (run.examples_cleaned > 0) {
+    EXPECT_GT(before, 0.0);
+  }
 }
 
 TEST(SessionTrackingTest, DisabledTrackingLeavesZeros) {
