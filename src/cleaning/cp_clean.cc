@@ -71,7 +71,8 @@ void CleaningSession::Reset() {
   for (int i = 0; i < working_.num_examples(); ++i) {
     if (working_.num_candidates(i) == 1) {
       cleaned_[static_cast<size_t>(i)] = 1;
-      world_[static_cast<size_t>(i)] = working_.candidate(i, 0);
+      const double* row = working_.candidate_ptr(i, 0);
+      world_[static_cast<size_t>(i)].assign(row, row + working_.dim());
     }
   }
   dirty_.clear();
@@ -82,31 +83,26 @@ void CleaningSession::Reset() {
   audit_.clear();
   last_newly_certain_.clear();
   selection_ = SelectionTable{};
-  // `working_ = task copy` above wiped any journal/file backing the
-  // serving layer configured; re-establish it.
+  // `working_ = task copy` above wiped any file backing the serving
+  // layer configured; re-establish it.
   ApplyWorkingStorage();
 }
 
 void CleaningSession::ApplyWorkingStorage() {
-  if (storage_.journal) working_.EnableJournal();
-  if (!storage_.mmap_scratch_dir.empty()) {
+  if (!mmap_scratch_dir_.empty()) {
     // Fallback to RAM on failure: the modes are bit-identical, and a
     // Restore mid-flight has no way to surface a scratch-dir error.
     const Status backed =
-        working_.BackWithFile(storage_.mmap_scratch_dir, kStreamWindowBytes);
+        working_.BackWithFile(mmap_scratch_dir_, kStreamWindowBytes);
     (void)backed;
   }
 }
 
 Status CleaningSession::ConfigureWorkingStorage(
-    const WorkingStorageOptions& storage) {
-  storage_ = storage;
-  if (storage_.journal) working_.EnableJournal();
-  if (!storage_.mmap_scratch_dir.empty()) {
-    CP_RETURN_NOT_OK(
-        working_.BackWithFile(storage_.mmap_scratch_dir, kStreamWindowBytes));
-  }
-  return Status::OK();
+    const std::string& mmap_scratch_dir) {
+  mmap_scratch_dir_ = mmap_scratch_dir;
+  if (mmap_scratch_dir_.empty()) return Status::OK();
+  return working_.BackWithFile(mmap_scratch_dir_, kStreamWindowBytes);
 }
 
 Status CleaningSession::Restore(const CleaningSnapshot& snapshot) {
@@ -431,7 +427,8 @@ void CleaningSession::CleanExample(int i) {
   const int true_j = task_->true_candidate[static_cast<size_t>(i)];
   working_.FixExample(i, true_j);
   if (carry) table.version = working_.version();
-  world_[static_cast<size_t>(i)] = working_.candidate(i, 0);
+  const double* row = working_.candidate_ptr(i, 0);
+  world_[static_cast<size_t>(i)].assign(row, row + working_.dim());
   cleaned_[static_cast<size_t>(i)] = 1;
   cleaned_order_.push_back(i);
   ++num_cleaned_;

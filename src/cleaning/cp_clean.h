@@ -64,20 +64,6 @@ struct CpCleanOptions {
   size_t max_contrib_bytes = size_t{2} << 20;
 };
 
-/// How a CleaningSession backs its working dataset (see
-/// `IncompleteDataset`'s storage modes). Configured once by the serving
-/// layer and re-applied automatically after every internal Reset (Run*
-/// entry points, Restore), which rebuilds the working copy from the task.
-struct WorkingStorageOptions {
-  /// Record every working-dataset mutation in its journal, enabling
-  /// O(delta) persistence through the append-only cleaning log.
-  bool journal = false;
-  /// Non-empty: back the working flat slab with an unlinked mmap scratch
-  /// file under this directory (streamed in 1 MiB windows); empty: plain
-  /// RAM.
-  std::string mmap_scratch_dir;
-};
-
 /// One cleaning decision and its certification effect: the 1-based step
 /// index, the example cleaned, the working-dataset version right after the
 /// fix, and the validation points that became certainly predicted as a
@@ -225,11 +211,14 @@ class CleaningSession {
   /// born-clean, or repeated example ids.
   Status Restore(const CleaningSnapshot& snapshot);
 
-  /// Applies `storage` to the working dataset now and after every future
-  /// Reset. Fails (leaving the session in RAM mode) when the scratch
+  /// Non-empty `mmap_scratch_dir`: backs the working dataset's slab with
+  /// an unlinked mmap scratch file under that directory (streamed in 1 MiB
+  /// windows), now and after every future Reset (Run* entry points,
+  /// Restore), which rebuilds the working copy from the task. Empty:
+  /// plain RAM. Fails (leaving the session in RAM mode) when the scratch
   /// mapping cannot be created; later re-applies fall back to RAM
   /// silently — the two modes are bit-identical, only paging differs.
-  Status ConfigureWorkingStorage(const WorkingStorageOptions& storage);
+  Status ConfigureWorkingStorage(const std::string& mmap_scratch_dir);
 
   /// Examples not yet cleaned.
   int NumDirtyRemaining() const { return static_cast<int>(dirty_.size()); }
@@ -242,7 +231,8 @@ class CleaningSession {
 
  private:
   void Reset();
-  /// Re-applies storage_ to a freshly rebuilt working_ (best effort).
+  /// Re-applies mmap_scratch_dir_ to a freshly rebuilt working_ (best
+  /// effort).
   void ApplyWorkingStorage();
   /// Position in `dirty_` of the greedy choice (FastSelectionScores, ties
   /// toward the smallest example index).
@@ -282,7 +272,7 @@ class CleaningSession {
   const CleaningTask* task_;
   const SimilarityKernel* kernel_;
   CpCleanOptions options_;
-  WorkingStorageOptions storage_;
+  std::string mmap_scratch_dir_;
 
   // The pool the per-validation-point loops run on: the process-global
   // shared pool when options_.num_threads == 0, else a privately owned one.

@@ -159,8 +159,8 @@ void FastQ2::SetTestPoint(const std::vector<double>& t,
                           const SimilarityKernel& kernel) {
   // Long-lived engines (one per serving session or worker slot) re-bind
   // lazily: any dataset mutation since the last binding — a cleaning step's
-  // FixExample, a ReplaceCandidates — bumps the version counter, and the
-  // next test point picks up the new candidate shapes automatically.
+  // FixExample, an AddExample — bumps the version counter, and the next
+  // test point picks up the new candidate shapes automatically.
   if (dataset_->version() != bound_version_) Rebind();
   const int n = dataset_->num_examples();
   // One batched sweep over the flat candidate slab; no per-candidate

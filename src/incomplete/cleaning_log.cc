@@ -32,104 +32,47 @@ Result<uint64_t> ParseUint64(const std::string& text, int base) {
   return static_cast<uint64_t>(value);
 }
 
-void AppendCandidates(const std::vector<std::vector<double>>& candidates,
-                      std::string* out) {
-  *out += StrFormat(" %d %d", static_cast<int>(candidates.size()),
-                    candidates.empty()
-                        ? 0
-                        : static_cast<int>(candidates.front().size()));
-  for (const auto& c : candidates) {
-    for (const double x : c) {
-      *out += StrFormat(" %a", x);
-    }
-  }
-}
-
-/// Parses `m dim v...` starting at fields[at]; consumes to the end.
-Status ParseCandidates(const std::vector<std::string>& fields, size_t at,
-                       std::vector<std::vector<double>>* out) {
-  if (fields.size() < at + 2) return Status::ParseError("truncated payload");
-  CP_ASSIGN_OR_RETURN(const int m, ParseInt(fields[at]));
-  CP_ASSIGN_OR_RETURN(const int dim, ParseInt(fields[at + 1]));
-  if (m < 1 || dim < 0) return Status::ParseError("bad payload shape");
-  const size_t need = at + 2 + static_cast<size_t>(m) * dim;
-  if (fields.size() != need) {
-    return Status::ParseError("payload value count mismatch");
-  }
-  size_t pos = at + 2;
-  out->clear();
-  out->reserve(static_cast<size_t>(m));
-  for (int j = 0; j < m; ++j) {
-    std::vector<double> c;
-    c.reserve(static_cast<size_t>(dim));
-    for (int d = 0; d < dim; ++d) {
-      CP_ASSIGN_OR_RETURN(double v, ParseDouble(fields[pos++]));
-      c.push_back(v);
-    }
-    out->push_back(std::move(c));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-std::string EncodeLogRecord(const MutationRecord& record) {
-  std::string body;
-  switch (record.kind) {
-    case MutationRecord::Kind::kFix:
-      body = StrFormat("fix %llu %d %d",
-                       static_cast<unsigned long long>(record.seq),
-                       record.example, record.candidate);
-      break;
-    case MutationRecord::Kind::kReplace:
-      body = StrFormat("replace %llu %d",
-                       static_cast<unsigned long long>(record.seq),
-                       record.example);
-      AppendCandidates(record.candidates, &body);
-      break;
-    case MutationRecord::Kind::kAdd:
-      body = StrFormat("add %llu %d",
-                       static_cast<unsigned long long>(record.seq),
-                       record.label);
-      AppendCandidates(record.candidates, &body);
-      break;
-  }
-  return body + StrFormat(" #%016llx",
-                          static_cast<unsigned long long>(Fnv1a64(body)));
-}
-
-Result<MutationRecord> DecodeLogRecord(const std::string& line) {
+/// The body of a `<body> #<fnv hex>` line whose checksum verifies. A
+/// failure here is what a torn append leaves behind.
+Result<std::string> VerifiedBody(const std::string& line) {
   const size_t hash = line.rfind(" #");
   if (hash == std::string::npos || line.size() != hash + 18) {
     return Status::ParseError("log record missing checksum: " + line);
   }
-  const std::string body = line.substr(0, hash);
+  std::string body = line.substr(0, hash);
   CP_ASSIGN_OR_RETURN(const uint64_t crc,
                       ParseUint64(line.substr(hash + 2), 16));
   if (crc != Fnv1a64(body)) {
     return Status::ParseError("log record checksum mismatch: " + line);
   }
-  std::vector<std::string> fields = Split(body, ' ');
-  if (fields.size() < 3) return Status::ParseError("short log record: " + body);
+  return body;
+}
+
+Result<MutationRecord> ParseFixBody(const std::string& body) {
+  const std::vector<std::string> fields = Split(body, ' ');
+  if (fields.size() != 4 || fields[0] != "fix") {
+    return Status::ParseError("not a fix record: " + body);
+  }
   MutationRecord record;
   CP_ASSIGN_OR_RETURN(record.seq, ParseUint64(fields[1], 10));
-  if (fields[0] == "fix") {
-    if (fields.size() != 4) return Status::ParseError("bad fix record");
-    CP_ASSIGN_OR_RETURN(record.example, ParseInt(fields[2]));
-    CP_ASSIGN_OR_RETURN(record.candidate, ParseInt(fields[3]));
-    record.kind = MutationRecord::Kind::kFix;
-  } else if (fields[0] == "replace") {
-    CP_ASSIGN_OR_RETURN(record.example, ParseInt(fields[2]));
-    CP_RETURN_NOT_OK(ParseCandidates(fields, 3, &record.candidates));
-    record.kind = MutationRecord::Kind::kReplace;
-  } else if (fields[0] == "add") {
-    CP_ASSIGN_OR_RETURN(record.label, ParseInt(fields[2]));
-    CP_RETURN_NOT_OK(ParseCandidates(fields, 3, &record.candidates));
-    record.kind = MutationRecord::Kind::kAdd;
-  } else {
-    return Status::ParseError("unknown log record kind: " + fields[0]);
-  }
+  CP_ASSIGN_OR_RETURN(record.example, ParseInt(fields[2]));
+  CP_ASSIGN_OR_RETURN(record.candidate, ParseInt(fields[3]));
   return record;
+}
+
+}  // namespace
+
+std::string EncodeLogRecord(const MutationRecord& record) {
+  const std::string body =
+      StrFormat("fix %llu %d %d", static_cast<unsigned long long>(record.seq),
+                record.example, record.candidate);
+  return body + StrFormat(" #%016llx",
+                          static_cast<unsigned long long>(Fnv1a64(body)));
+}
+
+Result<MutationRecord> DecodeLogRecord(const std::string& line) {
+  CP_ASSIGN_OR_RETURN(const std::string body, VerifiedBody(line));
+  return ParseFixBody(body);
 }
 
 Result<LogScan> ScanCleaningLog(const std::string& path) {
@@ -167,14 +110,22 @@ Result<LogScan> ScanCleaningLog(const std::string& path) {
       pos = line_end;
       continue;
     }
-    Result<MutationRecord> record = DecodeLogRecord(line);
-    if (!record.ok()) {
+    const Result<std::string> body = VerifiedBody(line);
+    if (!body.ok()) {
       if (line_end >= text.size()) {
         scan.truncated_tail = true;  // torn final record: drop it
         return scan;
       }
       return Status::IoError(StrFormat(
           "cleaning log corrupt mid-file at byte %zu: %s", pos,
+          body.status().message().c_str()));
+    }
+    // A line whose checksum verifies was written whole: if it does not
+    // parse, the log is corrupt wherever the line sits, never torn.
+    Result<MutationRecord> record = ParseFixBody(body.value());
+    if (!record.ok()) {
+      return Status::IoError(StrFormat(
+          "cleaning log record at byte %zu is malformed: %s", pos,
           record.status().message().c_str()));
     }
     if (record.value().seq <= scan.last_seq) {
@@ -254,38 +205,13 @@ Status ReplayCleaningLog(const std::vector<MutationRecord>& records,
           static_cast<unsigned long long>(record.seq),
           static_cast<unsigned long long>(dataset->version())));
     }
-    switch (record.kind) {
-      case MutationRecord::Kind::kFix:
-        if (record.example < 0 || record.example >= dataset->num_examples() ||
-            record.candidate < 0 ||
-            record.candidate >= dataset->num_candidates(record.example)) {
-          return Status::IoError("log fix record out of range");
-        }
-        dataset->FixExample(record.example, record.candidate);
-        if (fixed_examples != nullptr) {
-          fixed_examples->push_back(record.example);
-        }
-        break;
-      case MutationRecord::Kind::kReplace:
-        if (record.example < 0 || record.example >= dataset->num_examples() ||
-            record.candidates.empty()) {
-          return Status::IoError("log replace record out of range");
-        }
-        for (const auto& c : record.candidates) {
-          if (static_cast<int>(c.size()) != dataset->dim()) {
-            return Status::IoError("log replace record dimension mismatch");
-          }
-        }
-        dataset->ReplaceCandidates(record.example, record.candidates);
-        break;
-      case MutationRecord::Kind::kAdd: {
-        IncompleteExample example;
-        example.candidates = record.candidates;
-        example.label = record.label;
-        CP_RETURN_NOT_OK(dataset->AddExample(std::move(example)));
-        break;
-      }
+    if (record.example < 0 || record.example >= dataset->num_examples() ||
+        record.candidate < 0 ||
+        record.candidate >= dataset->num_candidates(record.example)) {
+      return Status::IoError("log fix record out of range");
     }
+    dataset->FixExample(record.example, record.candidate);
+    if (fixed_examples != nullptr) fixed_examples->push_back(record.example);
   }
   return Status::OK();
 }

@@ -11,27 +11,27 @@
 namespace cpclean {
 
 /// The append-only cleaning log: the O(delta) persistence companion to a
-/// base snapshot. Each line is one `MutationRecord` in a fixed text
-/// format with a trailing FNV-1a checksum; doubles are hex floats, so a
-/// replayed record reproduces the mutation bit-for-bit:
+/// base snapshot. A cleaning step is the one mutation it records: each
+/// line is one fix `MutationRecord` in a fixed text format with a trailing
+/// FNV-1a checksum:
 ///
 ///   cpclean-log-v1
-///   fix <seq> <example> <candidate> #<crc16hex>
-///   replace <seq> <example> <m> <dim> <m*dim hex floats> #<crc>
-///   add <seq> <label> <m> <dim> <m*dim hex floats> #<crc>
+///   fix <seq> <example> <candidate> #<fnv64hex>
 ///
-/// `seq` is the dataset `version()` immediately after the mutation.
-/// A record is durable once its full line (newline included) is on disk;
-/// a torn *final* line — the only kind of damage a killed append can
-/// leave — is detected by the checksum/newline and dropped, while any
-/// earlier damage is surfaced as corruption.
+/// `seq` is the dataset `version()` immediately after the fix.
+/// A record is durable once its full line (newline included) is on disk.
+/// A torn *final* line — no newline, or a checksum that does not verify,
+/// the only damage a killed append can leave — is dropped. Any earlier
+/// damage, and any line whose checksum verifies but which is not a
+/// well-formed fix record, is surfaced as corruption.
 ///
 /// Fault sites: `log.append`, `log.fsync`, `log.replay`.
 
 /// Encodes one record as a checksummed log line (no trailing newline).
 std::string EncodeLogRecord(const MutationRecord& record);
 
-/// Decodes one log line; fails on a checksum mismatch or malformed body.
+/// Decodes one log line; fails on a checksum mismatch or on a body that
+/// is not a well-formed fix record.
 Result<MutationRecord> DecodeLogRecord(const std::string& line);
 
 struct LogScan {
@@ -46,7 +46,8 @@ struct LogScan {
 
 /// Reads and validates a log file. A missing file scans as empty; a torn
 /// final record is tolerated (`truncated_tail`); a bad record anywhere
-/// before the tail is a DataLoss error.
+/// before the tail, or a checksummed record that does not parse, is an
+/// IoError.
 Result<LogScan> ScanCleaningLog(const std::string& path);
 
 /// Scans and then truncates any torn tail off the file, so subsequent
@@ -62,7 +63,7 @@ Result<size_t> AppendCleaningLog(const std::string& path,
 
 /// Applies every record with seq > `from_seq` to `dataset`, in order,
 /// requiring strictly increasing sequence numbers that continue from the
-/// dataset's own version. Appends the example index of each applied fix
+/// dataset's own version. Appends the example index of each applied
 /// record to `fixed_examples` when non-null. Fault site log.replay.
 Status ReplayCleaningLog(const std::vector<MutationRecord>& records,
                          uint64_t from_seq, IncompleteDataset* dataset,

@@ -18,15 +18,16 @@ double SquaredNorm(const std::vector<double>& v) {
 }  // namespace
 
 IncompleteDataset::IncompleteDataset(const IncompleteDataset& other)
-    : examples_(other.examples_),
-      num_labels_(other.num_labels_),
+    : num_labels_(other.num_labels_),
       dim_(other.dim_),
+      labels_(other.labels_),
+      num_cands_(other.num_cands_),
       flat_(other.flat_data(), other.flat_data() + other.flat_doubles()),
       sq_norms_(other.sq_norms_),
       cand_start_(other.cand_start_),
-      cand_capacity_(other.cand_capacity_),
       total_candidates_(other.total_candidates_),
-      version_(other.version_) {}
+      version_(other.version_),
+      journal_base_version_(other.version_) {}
 
 IncompleteDataset& IncompleteDataset::operator=(
     const IncompleteDataset& other) {
@@ -34,15 +35,6 @@ IncompleteDataset& IncompleteDataset::operator=(
   IncompleteDataset copy(other);
   *this = std::move(copy);
   return *this;
-}
-
-void IncompleteDataset::WriteFlatRow(int row,
-                                     const std::vector<double>& features) {
-  CP_CHECK_EQ(static_cast<int>(features.size()), dim_);
-  std::copy(features.begin(), features.end(),
-            mutable_flat() + static_cast<size_t>(row) *
-                                 static_cast<size_t>(dim_));
-  sq_norms_[static_cast<size_t>(row)] = SquaredNorm(features);
 }
 
 Status IncompleteDataset::EnsureSlabCapacity(size_t doubles) {
@@ -66,28 +58,6 @@ void IncompleteDataset::AppendFlatRow(const std::vector<double>& features) {
     flat_.insert(flat_.end(), features.begin(), features.end());
   }
   sq_norms_.push_back(SquaredNorm(features));
-}
-
-void IncompleteDataset::RebuildFlat() {
-  if (mapped_) {
-    mapped_doubles_ = 0;
-  } else {
-    flat_.clear();
-  }
-  sq_norms_.clear();
-  cand_start_.clear();
-  cand_capacity_.clear();
-  total_candidates_ = 0;
-  int row = 0;
-  for (const IncompleteExample& ex : examples_) {
-    cand_start_.push_back(row);
-    cand_capacity_.push_back(static_cast<int>(ex.candidates.size()));
-    for (const auto& c : ex.candidates) {
-      AppendFlatRow(c);
-      ++row;
-    }
-    total_candidates_ += static_cast<int>(ex.candidates.size());
-  }
 }
 
 Status IncompleteDataset::BackWithFile(const std::string& scratch_dir,
@@ -116,12 +86,6 @@ void IncompleteDataset::PrefetchFlatRows(int first_row, int count) const {
                     static_cast<size_t>(count) * stride);
 }
 
-void IncompleteDataset::EnableJournal() {
-  journal_enabled_ = true;
-  journal_base_version_ = version_;
-  journal_.clear();
-}
-
 std::vector<MutationRecord> IncompleteDataset::JournalSince(
     uint64_t version) const {
   CP_CHECK(JournalCovers(version));
@@ -133,11 +97,12 @@ std::vector<MutationRecord> IncompleteDataset::JournalSince(
 }
 
 void IncompleteDataset::OverrideVersionForReplay(uint64_t version) {
-  CP_CHECK(!journal_enabled_);
+  CP_CHECK(journal_.empty());
   version_ = version;
+  journal_base_version_ = version;
 }
 
-Status IncompleteDataset::AddExample(IncompleteExample example) {
+Status IncompleteDataset::AddExample(const IncompleteExample& example) {
   if (example.candidates.empty()) {
     return Status::InvalidArgument("candidate set must be non-empty");
   }
@@ -162,21 +127,17 @@ Status IncompleteDataset::AddExample(IncompleteExample example) {
       flat_doubles() +
       example.candidates.size() * static_cast<size_t>(d)));
   cand_start_.push_back(static_cast<int>(sq_norms_.size()));
-  cand_capacity_.push_back(static_cast<int>(example.candidates.size()));
   for (const auto& c : example.candidates) {
     AppendFlatRow(c);
   }
-  total_candidates_ += static_cast<int>(example.candidates.size());
-  examples_.push_back(std::move(example));
+  const int count = static_cast<int>(example.candidates.size());
+  labels_.push_back(example.label);
+  num_cands_.push_back(count);
+  total_candidates_ += count;
   ++version_;
-  if (journal_enabled_) {
-    MutationRecord rec;
-    rec.kind = MutationRecord::Kind::kAdd;
-    rec.seq = version_;
-    rec.label = examples_.back().label;
-    rec.candidates = examples_.back().candidates;
-    journal_.push_back(std::move(rec));
-  }
+  // The journal records fixes only, so coverage restarts past the append.
+  journal_.clear();
+  journal_base_version_ = version_;
   return Status::OK();
 }
 
@@ -188,34 +149,46 @@ Status IncompleteDataset::AddCleanExample(std::vector<double> features,
   return AddExample(std::move(example));
 }
 
-const IncompleteExample& IncompleteDataset::example(int i) const {
+void IncompleteDataset::CheckExample(int i) const {
   CP_CHECK_GE(i, 0);
   CP_CHECK_LT(i, num_examples());
-  return examples_[static_cast<size_t>(i)];
+}
+
+IncompleteExample IncompleteDataset::example(int i) const {
+  IncompleteExample out;
+  out.label = label(i);
+  for (int j = 0; j < num_candidates(i); ++j) {
+    out.candidates.push_back(candidate(i, j));
+  }
+  return out;
+}
+
+int IncompleteDataset::label(int i) const {
+  CheckExample(i);
+  return labels_[static_cast<size_t>(i)];
 }
 
 int IncompleteDataset::num_candidates(int i) const {
-  return static_cast<int>(example(i).candidates.size());
+  CheckExample(i);
+  return num_cands_[static_cast<size_t>(i)];
 }
 
 int IncompleteDataset::max_candidates() const {
-  int m = 0;
-  for (const auto& ex : examples_) {
-    m = std::max(m, static_cast<int>(ex.candidates.size()));
-  }
-  return m;
+  return num_cands_.empty()
+             ? 0
+             : *std::max_element(num_cands_.begin(), num_cands_.end());
 }
 
-const std::vector<double>& IncompleteDataset::candidate(int i, int j) const {
-  const auto& ex = example(i);
+std::vector<double> IncompleteDataset::candidate(int i, int j) const {
   CP_CHECK_GE(j, 0);
-  CP_CHECK_LT(j, static_cast<int>(ex.candidates.size()));
-  return ex.candidates[static_cast<size_t>(j)];
+  CP_CHECK_LT(j, num_candidates(i));
+  const double* row = candidate_ptr(i, j);
+  return std::vector<double>(row, row + dim_);
 }
 
 bool IncompleteDataset::IsComplete() const {
-  for (const auto& ex : examples_) {
-    if (ex.candidates.size() != 1) return false;
+  for (const int count : num_cands_) {
+    if (count != 1) return false;
   }
   return true;
 }
@@ -230,74 +203,39 @@ std::vector<int> IncompleteDataset::DirtyExamples() const {
 
 BigUint IncompleteDataset::NumPossibleWorlds() const {
   BigUint count(1);
-  for (const auto& ex : examples_) {
-    count *= BigUint(static_cast<uint64_t>(ex.candidates.size()));
+  for (const int c : num_cands_) {
+    count *= BigUint(static_cast<uint64_t>(c));
   }
   return count;
 }
 
 double IncompleteDataset::Log2NumPossibleWorlds() const {
   double total = 0.0;
-  for (const auto& ex : examples_) {
-    total += std::log2(static_cast<double>(ex.candidates.size()));
+  for (const int c : num_cands_) {
+    total += std::log2(static_cast<double>(c));
   }
   return total;
 }
 
 void IncompleteDataset::FixExample(int i, int j) {
-  CP_CHECK_GE(i, 0);
-  CP_CHECK_LT(i, num_examples());
-  auto& ex = examples_[static_cast<size_t>(i)];
   CP_CHECK_GE(j, 0);
-  CP_CHECK_LT(j, static_cast<int>(ex.candidates.size()));
-  std::vector<double> chosen = ex.candidates[static_cast<size_t>(j)];
-  total_candidates_ -= static_cast<int>(ex.candidates.size()) - 1;
-  ex.candidates.clear();
-  ex.candidates.push_back(std::move(chosen));
-  // In-place collapse: the example keeps its flat slot range; only row 0
-  // stays active. Rows past the first are retired, not reclaimed.
-  WriteFlatRow(flat_row(i, 0), ex.candidates.front());
+  CP_CHECK_LT(j, num_candidates(i));
+  // In-place collapse: the example keeps its flat slot range; row j (and
+  // its cached norm, the same bits) moves onto row 0, which alone stays
+  // active. Rows past the first are retired, not reclaimed.
+  const size_t row0 = static_cast<size_t>(flat_row(i, 0));
+  const size_t chosen = static_cast<size_t>(flat_row(i, j));
+  if (chosen != row0) {
+    double* flat = mutable_flat();
+    const size_t stride = static_cast<size_t>(dim_);
+    std::copy(flat + chosen * stride, flat + (chosen + 1) * stride,
+              flat + row0 * stride);
+    sq_norms_[row0] = sq_norms_[chosen];
+  }
+  total_candidates_ -= num_cands_[static_cast<size_t>(i)] - 1;
+  num_cands_[static_cast<size_t>(i)] = 1;
   ++version_;
-  if (journal_enabled_) {
-    MutationRecord rec;
-    rec.kind = MutationRecord::Kind::kFix;
-    rec.seq = version_;
-    rec.example = i;
-    rec.candidate = j;
-    journal_.push_back(std::move(rec));
-  }
-}
-
-void IncompleteDataset::ReplaceCandidates(
-    int i, std::vector<std::vector<double>> candidates) {
-  CP_CHECK_GE(i, 0);
-  CP_CHECK_LT(i, num_examples());
-  CP_CHECK(!candidates.empty());
-  for (const auto& c : candidates) {
-    CP_CHECK_EQ(static_cast<int>(c.size()), dim_);
-  }
-  total_candidates_ +=
-      static_cast<int>(candidates.size()) - num_candidates(i);
-  examples_[static_cast<size_t>(i)].candidates = std::move(candidates);
-  const auto& stored = examples_[static_cast<size_t>(i)].candidates;
-  if (static_cast<int>(stored.size()) <=
-      cand_capacity_[static_cast<size_t>(i)]) {
-    for (int j = 0; j < static_cast<int>(stored.size()); ++j) {
-      WriteFlatRow(flat_row(i, j), stored[static_cast<size_t>(j)]);
-    }
-  } else {
-    // The replacement outgrew the example's reserved slots: re-lay the slab.
-    RebuildFlat();
-  }
-  ++version_;
-  if (journal_enabled_) {
-    MutationRecord rec;
-    rec.kind = MutationRecord::Kind::kReplace;
-    rec.seq = version_;
-    rec.example = i;
-    rec.candidates = stored;
-    journal_.push_back(std::move(rec));
-  }
+  journal_.push_back(MutationRecord{version_, i, j});
 }
 
 bool BitIdentical(const IncompleteDataset& a, const IncompleteDataset& b) {
@@ -313,7 +251,10 @@ bool BitIdentical(const IncompleteDataset& a, const IncompleteDataset& b) {
     for (int j = 0; j < a.num_candidates(i); ++j) {
       // Exact double comparison on purpose: the serving layer's
       // snapshot/rehydrate contract is bit-identity, not tolerance.
-      if (a.candidate(i, j) != b.candidate(i, j)) return false;
+      const double* row = a.candidate_ptr(i, j);
+      if (!std::equal(row, row + a.dim(), b.candidate_ptr(i, j))) {
+        return false;
+      }
     }
   }
   return true;

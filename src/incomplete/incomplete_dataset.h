@@ -21,17 +21,15 @@ struct IncompleteExample {
 };
 
 /// One logged mutation of an incomplete dataset — the unit of the
-/// append-only cleaning log. `seq` is the dataset `version()` immediately
-/// after the mutation, so a log replayed in sequence order onto a base
-/// snapshot at version v applies exactly the records with seq > v.
+/// append-only cleaning log. The only mutation a log carries is a fix:
+/// example `example` collapsed to its candidate `candidate`. `seq` is the
+/// dataset `version()` immediately after the fix, so a log replayed in
+/// sequence order onto a base snapshot at version v applies exactly the
+/// records with seq > v.
 struct MutationRecord {
-  enum class Kind { kFix, kReplace, kAdd };
-  Kind kind = Kind::kFix;
   uint64_t seq = 0;
-  int example = -1;   // FixExample / ReplaceCandidates target
-  int candidate = -1; // FixExample: the chosen candidate index
-  std::vector<std::vector<double>> candidates;  // Replace / Add payload
-  int label = 0;      // AddExample label
+  int example = -1;
+  int candidate = -1;
 };
 
 /// An incomplete dataset D = {(C_i, y_i)} — the block tuple-independent
@@ -40,28 +38,29 @@ struct MutationRecord {
 /// Candidate vectors are pre-encoded dense features; candidate sets may
 /// have different sizes. Labels are dense ids in [0, num_labels).
 ///
-/// Storage: candidates live twice. The vector-of-vectors `example()` /
-/// `candidate()` view is the mutation API, and a row-major contiguous
-/// mirror (`flat_data()`, one dim()-stride row per candidate, all rows of
-/// an example adjacent) feeds the batched similarity kernels, together
-/// with a cached squared L2 norm per row. Both are kept in sync by every
-/// mutator. `FixExample` collapses in place — the example keeps its flat
-/// slot range (capacity) and only its first row stays active — so a
-/// cleaning step never reshuffles the slab.
+/// Storage: every candidate lives once, in a row-major contiguous slab
+/// (`flat_data()`, one dim()-stride row per candidate, all rows of an
+/// example adjacent) that feeds the batched similarity kernels, together
+/// with a cached squared L2 norm per row. Beside the slab the dataset
+/// keeps only a label and a candidate count per example. `example()` and
+/// `candidate()` copy rows out of the slab for cold callers. `FixExample`
+/// collapses in place — it copies the chosen row (and its norm) onto the
+/// example's first row, and the rows past it are retired — so a cleaning
+/// step never reshuffles the slab.
 ///
-/// The flat mirror has two backing modes. By default it is an in-RAM
+/// The slab has two backing modes. By default it is an in-RAM
 /// `std::vector`. `BackWithFile` moves it into an unlinked mmap'd scratch
-/// file (norms and the candidate vectors stay in RAM), so large slabs can
-/// be paged by the kernel instead of pinned; readers stream it through
+/// file (the norms, labels and counts stay in RAM), so large slabs can be
+/// paged by the kernel instead of pinned; readers stream it through
 /// `PrefetchFlatRows` windows. The two modes hold bit-identical doubles.
 class IncompleteDataset {
  public:
   IncompleteDataset() = default;
   explicit IncompleteDataset(int num_labels) : num_labels_(num_labels) {}
 
-  /// Copies materialize into RAM backing mode and do not carry the source's
-  /// journal — a copy is a value snapshot of the candidate space (and its
-  /// version), not of the persistence machinery.
+  /// Copies materialize into RAM backing mode and start an empty journal at
+  /// the source's version — a copy is a value snapshot of the candidate
+  /// space (and its version), not of the persistence machinery.
   IncompleteDataset(const IncompleteDataset& other);
   IncompleteDataset& operator=(const IncompleteDataset& other);
   IncompleteDataset(IncompleteDataset&&) noexcept = default;
@@ -69,19 +68,20 @@ class IncompleteDataset {
 
   /// Appends an example. Fails when the candidate set is empty, a label is
   /// out of range, or feature dimensions are inconsistent.
-  Status AddExample(IncompleteExample example);
+  Status AddExample(const IncompleteExample& example);
 
   /// Convenience: appends a clean (single-candidate) example.
   Status AddCleanExample(std::vector<double> features, int label);
 
-  int num_examples() const { return static_cast<int>(examples_.size()); }
+  int num_examples() const { return static_cast<int>(labels_.size()); }
   int num_labels() const { return num_labels_; }
 
   /// Feature dimensionality (0 while empty).
   int dim() const { return dim_; }
 
-  const IncompleteExample& example(int i) const;
-  int label(int i) const { return example(i).label; }
+  /// Example `i` copied out of the slab (cold callers and tests).
+  IncompleteExample example(int i) const;
+  int label(int i) const;
 
   /// Candidate-set size |C_i|.
   int num_candidates(int i) const;
@@ -89,14 +89,16 @@ class IncompleteDataset {
   /// Largest candidate-set size M over all examples (0 while empty).
   int max_candidates() const;
 
-  const std::vector<double>& candidate(int i, int j) const;
+  /// Candidate (i, j) copied out of the slab; hot paths read
+  /// `candidate_ptr` instead.
+  std::vector<double> candidate(int i, int j) const;
 
   // --- Flat view -----------------------------------------------------------
 
   /// Base of the row-major candidate slab; row r starts at
   /// `flat_data() + r * dim()`. Rows of example `i` occupy flat rows
   /// `[flat_row(i, 0), flat_row(i, 0) + num_candidates(i))`. Invalidated by
-  /// `AddExample` and by a `ReplaceCandidates` that grows past capacity.
+  /// `AddExample`.
   const double* flat_data() const {
     return mapped_ ? static_cast<const double*>(mapped_->data())
                    : flat_.data();
@@ -124,8 +126,8 @@ class IncompleteDataset {
   /// Number of *active* candidate rows (sum of |C_i|).
   int total_candidates() const { return total_candidates_; }
 
-  /// Monotone mutation counter: bumped by every `AddExample`, `FixExample`,
-  /// and `ReplaceCandidates`. Cached derived state (serving-layer result
+  /// Monotone mutation counter: bumped by every `AddExample` and
+  /// `FixExample`. Cached derived state (serving-layer result
   /// caches, bound query engines) compares versions to detect precisely
   /// when the candidate space changed. Copies carry the source's version
   /// forward (a copy of version v holds the same worlds as the original at
@@ -160,18 +162,15 @@ class IncompleteDataset {
   void PrefetchFlatRows(int first_row, int count) const;
 
   // --- Mutation journal ----------------------------------------------------
+  //
+  // Every `FixExample` is recorded as a `MutationRecord`. The journal's
+  // coverage starts at the version the dataset was built at (its last
+  // `AddExample`), copied at, or set to by `OverrideVersionForReplay`;
+  // `JournalSince` answers only for versions at or past it.
 
-  /// Starts recording every subsequent mutation as a `MutationRecord`.
-  /// The journal's coverage starts at the current version; `JournalSince`
-  /// answers only for versions at or past it.
-  void EnableJournal();
-
-  bool journal_enabled() const { return journal_enabled_; }
-
-  /// True when the journal can reconstruct every mutation after `version`
-  /// (journal enabled and `version` within its coverage).
+  /// True when the journal can reconstruct every mutation after `version`.
   bool JournalCovers(uint64_t version) const {
-    return journal_enabled_ && version >= journal_base_version_;
+    return version >= journal_base_version_;
   }
 
   /// The records with seq > `version`, in sequence order. Call only when
@@ -180,7 +179,8 @@ class IncompleteDataset {
 
   /// Forces the version counter — used only when rehydrating a serialized
   /// dataset whose header carries the version it had when written, so log
-  /// sequence numbers line up. CP_CHECK-fails if the journal is enabled.
+  /// sequence numbers line up. Journal coverage restarts there.
+  /// CP_CHECK-fails if the journal holds records.
   void OverrideVersionForReplay(uint64_t version);
 
   // -------------------------------------------------------------------------
@@ -201,9 +201,6 @@ class IncompleteDataset {
   /// human revealed the true value). Afterwards |C_i| == 1.
   void FixExample(int i, int j);
 
-  /// Replaces the candidate set of example `i` entirely.
-  void ReplaceCandidates(int i, std::vector<std::vector<double>> candidates);
-
  private:
   /// Doubles currently stored in the flat slab (active + retired rows).
   size_t flat_doubles() const {
@@ -212,8 +209,8 @@ class IncompleteDataset {
   double* mutable_flat() {
     return mapped_ ? static_cast<double*>(mapped_->data()) : flat_.data();
   }
-  /// Writes `features` into flat row `row` and refreshes its cached norm.
-  void WriteFlatRow(int row, const std::vector<double>& features);
+  /// CP_CHECK-fails unless 0 <= i < num_examples().
+  void CheckExample(int i) const;
   /// Appends one candidate row to the end of the slab (growing the mapping
   /// in file-backed mode). CP_CHECK-fails on a grow failure; callers that
   /// can surface a Status should pre-grow via `EnsureSlabCapacity`.
@@ -221,29 +218,26 @@ class IncompleteDataset {
   /// Grows the file mapping to hold at least `doubles` (RAM mode: no-op —
   /// std::vector grows on demand).
   Status EnsureSlabCapacity(size_t doubles);
-  /// Rebuilds the flat slab from `examples_` (used when a replacement
-  /// outgrows an example's reserved slots).
-  void RebuildFlat();
 
-  std::vector<IncompleteExample> examples_;
   int num_labels_ = 0;
   int dim_ = 0;
+  // Per example: its label and its active candidate count |C_i|.
+  std::vector<int> labels_;
+  std::vector<int> num_cands_;
 
-  // Flat mirror. cand_start_[i] is example i's first flat row; the example
-  // owns cand_capacity_[i] consecutive rows of which the first
-  // num_candidates(i) are active. Exactly one of flat_ (RAM mode) and
-  // mapped_ (file mode, mapped_doubles_ doubles long) backs the slab.
+  // The slab. cand_start_[i] is example i's first flat row; its first
+  // num_cands_[i] rows are active, the rest (after a fix) retired.
+  // Exactly one of flat_ (RAM mode) and mapped_ (file mode,
+  // mapped_doubles_ doubles long) backs the slab.
   std::vector<double> flat_;
   std::unique_ptr<MappedFile> mapped_;
   size_t mapped_doubles_ = 0;
   size_t stream_window_bytes_ = 0;
   std::vector<double> sq_norms_;
   std::vector<int> cand_start_;
-  std::vector<int> cand_capacity_;
   int total_candidates_ = 0;
   uint64_t version_ = 0;
 
-  bool journal_enabled_ = false;
   uint64_t journal_base_version_ = 0;
   std::vector<MutationRecord> journal_;
 };
@@ -252,7 +246,7 @@ class IncompleteDataset {
 /// same shape (labels, dim, example count, candidate counts), same labels,
 /// and exactly equal candidate doubles. Versions and flat-slab layout are
 /// NOT compared — a rehydrated dataset that replayed the same mutations is
-/// identical even if its internal capacity bookkeeping differs.
+/// identical even if its retired rows differ.
 bool BitIdentical(const IncompleteDataset& a, const IncompleteDataset& b);
 
 }  // namespace cpclean

@@ -33,7 +33,10 @@ std::vector<std::vector<double>> MaterializeWorld(
   std::vector<std::vector<double>> features;
   features.reserve(choice.size());
   for (int i = 0; i < dataset.num_examples(); ++i) {
-    features.push_back(dataset.candidate(i, choice[static_cast<size_t>(i)]));
+    const int j = choice[static_cast<size_t>(i)];
+    CP_CHECK(j >= 0 && j < dataset.num_candidates(i));
+    const double* row = dataset.candidate_ptr(i, j);
+    features.emplace_back(row, row + dataset.dim());
   }
   return features;
 }

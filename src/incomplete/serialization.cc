@@ -29,8 +29,8 @@ std::string SerializeIncompleteDataset(
     out += StrFormat("example %d %d\n", dataset.label(i),
                      dataset.num_candidates(i));
     for (int j = 0; j < dataset.num_candidates(i); ++j) {
-      const auto& x = dataset.candidate(i, j);
-      for (size_t d = 0; d < x.size(); ++d) {
+      const double* x = dataset.candidate_ptr(i, j);
+      for (int d = 0; d < dataset.dim(); ++d) {
         if (d > 0) out += ' ';
         out += StrFormat("%a", x[d]);  // hex float: exact round trip
       }
@@ -142,7 +142,7 @@ Result<DeserializedDataset> DeserializeIncompleteDataset(
       }
       example.candidates.push_back(std::move(x));
     }
-    CP_RETURN_NOT_OK(out.dataset.AddExample(std::move(example)));
+    CP_RETURN_NOT_OK(out.dataset.AddExample(example));
   }
   out.dataset.OverrideVersionForReplay(stored_version);
   return out;

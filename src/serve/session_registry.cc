@@ -121,14 +121,11 @@ Result<std::shared_ptr<ServeSession>> ServeSession::Make(
       session->cleaner_,
       CleaningSession::Create(&session->task_, session->kernel_.get(),
                               clean_options));
-  // Serving sessions always journal their working-dataset mutations: the
-  // session store's delta saves append exactly this journal to the
-  // cleaning log. An mmap scratch dir additionally moves the flat slab
-  // out of anonymous memory (bit-identical; only paging differs).
-  WorkingStorageOptions storage;
-  storage.journal = true;
-  storage.mmap_scratch_dir = options.mmap_scratch_dir;
-  CP_RETURN_NOT_OK(session->cleaner_->ConfigureWorkingStorage(storage));
+  // The session store's delta saves append the working dataset's journal
+  // of fixes to the cleaning log. An mmap scratch dir moves the candidate
+  // slab out of anonymous memory (bit-identical; only paging differs).
+  CP_RETURN_NOT_OK(
+      session->cleaner_->ConfigureWorkingStorage(options.mmap_scratch_dir));
   session->engines_ = std::make_unique<EnginePool>(
       &session->cleaner_->working(), options.k);
   // Prime the validation-certainty flags before publishing: they refresh

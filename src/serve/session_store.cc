@@ -589,17 +589,6 @@ Result<std::shared_ptr<ServeSession>> SessionStore::Load(
   CP_ASSIGN_OR_RETURN(const LogScan scan, ScanCleaningLogForAppend(log_path));
   std::vector<int> log_fix_ids;
   if (!scan.records.empty()) {
-    for (const MutationRecord& record : scan.records) {
-      if (record.kind != MutationRecord::Kind::kFix) {
-        // Serving sessions only ever fix examples; replaying anything
-        // else could not be folded into the cleaning replay order below.
-        return Status::Internal(StrFormat(
-            "%s: unexpected non-fix record (seq %llu) in a serve cleaning "
-            "log",
-            log_path.c_str(),
-            static_cast<unsigned long long>(record.seq)));
-      }
-    }
     CP_RETURN_NOT_OK(ReplayCleaningLog(scan.records, base_version,
                                        &parsed.dataset, &log_fix_ids));
     static MetricCounter& replayed =

@@ -44,8 +44,8 @@ struct SessionStoreOptions {
   /// append would grow `<name>.cplog` past this many bytes writes a fresh
   /// full base snapshot instead (and removes the log).
   size_t log_compact_bytes = size_t{1} << 20;
-  /// Working-storage options stamped onto rehydrated sessions (see
-  /// WorkingStorageOptions): non-empty `mmap_scratch_dir` backs their
+  /// Stamped onto rehydrated sessions (see
+  /// `CleaningSession::ConfigureWorkingStorage`): non-empty backs their
   /// candidate slab with an unlinked mmap scratch file there.
   std::string mmap_scratch_dir;
 };

@@ -118,11 +118,12 @@ double ReferenceExpectedEntropy(
     const IncompleteDataset& working,
     const std::vector<std::vector<double>>& uncertain, size_t num_val,
     const SimilarityKernel& kernel, int k, int i) {
-  IncompleteDataset scratch = working;
-  const std::vector<std::vector<double>> saved = working.example(i).candidates;
+  const int m = working.num_candidates(i);
   double expected = 0.0;
-  for (const std::vector<double>& truth : saved) {
-    scratch.ReplaceCandidates(i, {truth});
+  for (int j = 0; j < m; ++j) {
+    // Pin candidate j as the truth: same doubles, same cached norm.
+    IncompleteDataset scratch = working;
+    scratch.FixExample(i, j);
     double entropy_sum = 0.0;
     for (const std::vector<double>& v : uncertain) {
       entropy_sum += Entropy(
@@ -130,7 +131,7 @@ double ReferenceExpectedEntropy(
     }
     expected += entropy_sum / static_cast<double>(num_val);
   }
-  return expected / static_cast<double>(saved.size());
+  return expected / static_cast<double>(m);
 }
 
 TEST(CleaningSessionTest, FastAndReferenceSelectionAgree) {

@@ -1,6 +1,7 @@
-// The append-only cleaning log: checksummed record round-trips, torn-tail
-// recovery, corruption detection, replay equivalence against direct
-// mutation, and the injected log.append / log.fsync / log.replay faults.
+// The append-only cleaning log: checksummed fix-record round-trips,
+// torn-tail recovery, corruption detection (including a checksummed line
+// that is not a fix record), replay equivalence against direct mutation,
+// and the injected log.append / log.fsync / log.replay faults.
 
 #include "incomplete/cleaning_log.h"
 
@@ -12,7 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/fault_injection.h"
+#include "common/string_util.h"
 #include "tests/test_util.h"
 
 namespace cpclean {
@@ -41,18 +44,18 @@ std::string ReadAll(const std::string& path) {
 }
 
 MutationRecord Fix(uint64_t seq, int example, int candidate) {
-  MutationRecord record;
-  record.kind = MutationRecord::Kind::kFix;
-  record.seq = seq;
-  record.example = example;
-  record.candidate = candidate;
-  return record;
+  return MutationRecord{seq, example, candidate};
 }
 
 bool RecordsEqual(const MutationRecord& a, const MutationRecord& b) {
-  return a.kind == b.kind && a.seq == b.seq && a.example == b.example &&
-         a.candidate == b.candidate && a.label == b.label &&
-         a.candidates == b.candidates;
+  return a.seq == b.seq && a.example == b.example &&
+         a.candidate == b.candidate;
+}
+
+/// A log line carrying `body` under a valid checksum.
+std::string Checksummed(const std::string& body) {
+  return body + StrFormat(" #%016llx",
+                          static_cast<unsigned long long>(Fnv1a64(body)));
 }
 
 class CleaningLogTest : public ::testing::Test {
@@ -61,28 +64,18 @@ class CleaningLogTest : public ::testing::Test {
 };
 
 TEST_F(CleaningLogTest, EncodeDecodeRoundTripsEveryKind) {
-  MutationRecord fix = Fix(7, 3, 1);
-
-  MutationRecord replace;
-  replace.kind = MutationRecord::Kind::kReplace;
-  replace.seq = 8;
-  replace.example = 2;
-  // Values unrepresentable in short decimal: the hex-float encoding must
-  // reproduce them bit-for-bit.
-  replace.candidates = {{1.0 / 3.0, -2.0e-17}, {1e300, -0.0}};
-
-  MutationRecord add;
-  add.kind = MutationRecord::Kind::kAdd;
-  add.seq = 9;
-  add.label = 1;
-  add.candidates = {{0.1, 0.2}, {3.3333333333333331, -1.5}};
-
-  for (const MutationRecord& record : {fix, replace, add}) {
+  // A fix is the one record kind; cover the field extremes.
+  for (const MutationRecord& record :
+       {Fix(7, 3, 1), Fix(1, 0, 0), Fix(UINT64_MAX, 2147483647, 2147483647)}) {
     const std::string line = EncodeLogRecord(record);
     const Result<MutationRecord> decoded = DecodeLogRecord(line);
     ASSERT_TRUE(decoded.ok()) << line;
     EXPECT_TRUE(RecordsEqual(record, decoded.value())) << line;
   }
+  // Any other record kind is an error, even under a valid checksum.
+  EXPECT_FALSE(DecodeLogRecord(Checksummed("add 9 1 1 2 0x1p+0 0x1p+1")).ok());
+  EXPECT_FALSE(
+      DecodeLogRecord(Checksummed("replace 8 2 1 2 0x1p+0 0x1p+1")).ok());
 }
 
 TEST_F(CleaningLogTest, DecodeRejectsCorruption) {
@@ -155,6 +148,46 @@ TEST_F(CleaningLogTest, TornTailDroppedAndTruncatedForAppend) {
   EXPECT_EQ(healed.value().records.size(), 3u);
 }
 
+TEST_F(CleaningLogTest, ChecksummedTailThatDoesNotParseIsCorruption) {
+  const std::string path = FreshLogPath("checksummed_tail");
+  ASSERT_TRUE(AppendCleaningLog(path, {EncodeLogRecord(Fix(1, 0, 1)),
+                                       EncodeLogRecord(Fix(2, 1, 0))})
+                  .ok());
+  const std::string durable = ReadAll(path);
+  // A whole, newline-terminated line with a valid checksum was written
+  // whole: a torn append cannot leave one. An `add` record there is
+  // corruption, and the scan must neither drop it nor cut the file.
+  {
+    std::ofstream file(path, std::ios::app | std::ios::binary);
+    file << Checksummed("add 3 1 1 2 0x1p+0 0x1p+1") << '\n';
+  }
+  const size_t with_add = FileSize(path);
+  const Result<LogScan> scan = ScanCleaningLog(path);
+  ASSERT_FALSE(scan.ok());
+  EXPECT_EQ(scan.status().code(), StatusCode::kIoError);
+  const Result<LogScan> for_append = ScanCleaningLogForAppend(path);
+  ASSERT_FALSE(for_append.ok());
+  EXPECT_EQ(for_append.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(FileSize(path), with_add);
+
+  // A tail with no newline, or one whose checksum fails, is still torn:
+  // dropped, and cut off for the next append.
+  const std::string fix3 = EncodeLogRecord(Fix(3, 2, 0));
+  std::string bad_sum = fix3;
+  bad_sum.back() = bad_sum.back() == '0' ? '1' : '0';
+  for (const std::string& tail : {fix3, bad_sum + "\n"}) {
+    {
+      std::ofstream file(path, std::ios::trunc | std::ios::binary);
+      file << durable << tail;
+    }
+    const Result<LogScan> torn = ScanCleaningLogForAppend(path);
+    ASSERT_TRUE(torn.ok()) << tail;
+    EXPECT_TRUE(torn.value().truncated_tail) << tail;
+    EXPECT_EQ(torn.value().records.size(), 2u) << tail;
+    EXPECT_EQ(ReadAll(path), durable) << tail;
+  }
+}
+
 TEST_F(CleaningLogTest, MidFileCorruptionIsAnError) {
   const std::string path = FreshLogPath("midfile");
   ASSERT_TRUE(AppendCleaningLog(path, {EncodeLogRecord(Fix(1, 0, 1)),
@@ -192,14 +225,15 @@ TEST_F(CleaningLogTest, ReplayMatchesDirectMutation) {
   const IncompleteDataset base = live;  // value snapshot at version v0
   const uint64_t v0 = base.version();
 
-  live.EnableJournal();
-  live.FixExample(1, 1);
-  live.ReplaceCandidates(4, {{0.5, -0.5, 1.0 / 3.0}, {1e10, 0.0, -2.0}});
-  IncompleteExample extra;
-  extra.label = 1;
-  extra.candidates = {{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
-  ASSERT_TRUE(live.AddExample(extra).ok());
-  live.FixExample(6, 0);
+  // Fix the last candidate of every multi-candidate example that has one,
+  // so the replayed fixes move rows within the slab.
+  std::vector<int> want_fixed;
+  for (int i = 0; i < live.num_examples(); ++i) {
+    if (live.num_candidates(i) < 2) continue;
+    live.FixExample(i, live.num_candidates(i) - 1);
+    want_fixed.push_back(i);
+  }
+  ASSERT_GE(want_fixed.size(), 2u);
 
   // Round-trip the journal through the on-disk format.
   const std::string path = FreshLogPath("replay");
@@ -210,7 +244,7 @@ TEST_F(CleaningLogTest, ReplayMatchesDirectMutation) {
   ASSERT_TRUE(AppendCleaningLog(path, lines).ok());
   const Result<LogScan> scan = ScanCleaningLog(path);
   ASSERT_TRUE(scan.ok());
-  ASSERT_EQ(scan.value().records.size(), 4u);
+  ASSERT_EQ(scan.value().records.size(), want_fixed.size());
 
   IncompleteDataset replayed = base;
   std::vector<int> fixed;
@@ -218,7 +252,7 @@ TEST_F(CleaningLogTest, ReplayMatchesDirectMutation) {
       ReplayCleaningLog(scan.value().records, v0, &replayed, &fixed).ok());
   EXPECT_TRUE(BitIdentical(live, replayed));
   EXPECT_EQ(replayed.version(), live.version());
-  EXPECT_EQ(fixed, (std::vector<int>{1, 6}));
+  EXPECT_EQ(fixed, want_fixed);
 }
 
 TEST_F(CleaningLogTest, ReplayFromSeqSkipsAlreadyApplied) {
@@ -227,7 +261,6 @@ TEST_F(CleaningLogTest, ReplayFromSeqSkipsAlreadyApplied) {
   spec.seed = 33;
   IncompleteDataset live = MakeRandomDataset(spec);
   const uint64_t v0 = live.version();
-  live.EnableJournal();
   live.FixExample(0, 0);
   const IncompleteDataset mid = live;  // already holds the first fix
   live.FixExample(2, 0);
@@ -248,7 +281,6 @@ TEST_F(CleaningLogTest, ReplaySequenceGapIsAnError) {
   IncompleteDataset live = MakeRandomDataset(spec);
   IncompleteDataset base = live;
   const uint64_t v0 = live.version();
-  live.EnableJournal();
   live.FixExample(0, 0);
   live.FixExample(2, 0);
   std::vector<MutationRecord> gapped = live.JournalSince(v0);
@@ -284,7 +316,6 @@ TEST_F(CleaningLogTest, InjectedReplayFaultSurfaces) {
   spec.seed = 35;
   IncompleteDataset live = MakeRandomDataset(spec);
   const uint64_t v0 = live.version();
-  live.EnableJournal();
   live.FixExample(0, 0);
   IncompleteDataset base = live;
   ASSERT_TRUE(FaultInjection::Configure("log.replay=once").ok());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 namespace cpclean {
 namespace {
@@ -65,21 +66,26 @@ TEST(IncompleteDatasetTest, FixExampleKeepsChosenValue) {
   EXPECT_EQ(dataset.NumPossibleWorlds(), BigUint(2));
 }
 
-TEST(IncompleteDatasetTest, ReplaceCandidates) {
+TEST(IncompleteDatasetTest, ExampleCopiesRowsOutOfTheSlab) {
   IncompleteDataset dataset = MakeDataset();
-  dataset.ReplaceCandidates(0, {{9.0, 9.0}, {8.0, 8.0}});
-  EXPECT_EQ(dataset.num_candidates(0), 2);
-  EXPECT_EQ(dataset.NumPossibleWorlds(), BigUint(12));
+  const IncompleteExample before = dataset.example(2);
+  EXPECT_EQ(before.label, 0);
+  EXPECT_EQ(before.candidates,
+            (std::vector<std::vector<double>>{{0.0, 0.0}, {1.0, 1.0},
+                                              {2.0, 2.0}}));
+  dataset.FixExample(2, 2);
+  EXPECT_EQ(dataset.example(2).candidates,
+            (std::vector<std::vector<double>>{{2.0, 2.0}}));
 }
 
-// --- Flat mirror ------------------------------------------------------------
+// --- Flat slab --------------------------------------------------------------
 
-// Every active candidate must be readable through the flat view, and its
-// cached squared norm must match the vector view.
-void ExpectFlatMirrorsVectors(const IncompleteDataset& dataset) {
+// Every active candidate must be readable through the flat view at its
+// flat row, and its cached squared norm must match its doubles.
+void ExpectFlatRowsAndNorms(const IncompleteDataset& dataset) {
   for (int i = 0; i < dataset.num_examples(); ++i) {
     for (int j = 0; j < dataset.num_candidates(i); ++j) {
-      const std::vector<double>& want = dataset.candidate(i, j);
+      const std::vector<double> want = dataset.candidate(i, j);
       const double* got = dataset.candidate_ptr(i, j);
       double sq = 0.0;
       for (int d = 0; d < dataset.dim(); ++d) {
@@ -99,7 +105,7 @@ TEST(IncompleteDatasetFlatTest, FreshDatasetIsCompactAndMirrored) {
   const IncompleteDataset dataset = MakeDataset();
   EXPECT_EQ(dataset.total_candidates(), 6);
   EXPECT_TRUE(dataset.flat_is_compact());
-  ExpectFlatMirrorsVectors(dataset);
+  ExpectFlatRowsAndNorms(dataset);
   // Example rows are adjacent: example 1 starts right after example 0.
   EXPECT_EQ(dataset.flat_row(0, 0), 0);
   EXPECT_EQ(dataset.flat_row(1, 0), 1);
@@ -108,48 +114,33 @@ TEST(IncompleteDatasetFlatTest, FreshDatasetIsCompactAndMirrored) {
 
 TEST(IncompleteDatasetFlatTest, FixExampleCollapsesInPlace) {
   IncompleteDataset dataset = MakeDataset();
+  const int chosen_row = dataset.flat_row(2, 1);
+  const double chosen_norm = dataset.candidate_sq_norm(2, 1);
   dataset.FixExample(2, 1);
   EXPECT_EQ(dataset.total_candidates(), 4);
+  // The chosen row and its cached norm move onto the example's first row,
+  // bit for bit; the slab keeps its offsets.
+  EXPECT_EQ(dataset.flat_row(2, 0), chosen_row - 1);
+  EXPECT_EQ(std::memcmp(&chosen_norm, &dataset.flat_sq_norms()[chosen_row - 1],
+                        sizeof(double)),
+            0);
   // Retired rows stay in the slab (stable offsets), so it is not compact.
   EXPECT_FALSE(dataset.flat_is_compact());
-  ExpectFlatMirrorsVectors(dataset);
+  ExpectFlatRowsAndNorms(dataset);
   EXPECT_DOUBLE_EQ(dataset.candidate_ptr(2, 0)[0], 1.0);
   EXPECT_DOUBLE_EQ(dataset.candidate_sq_norm(2, 0), 2.0);
-}
-
-TEST(IncompleteDatasetFlatTest, ReplaceWithinCapacityKeepsOffsets) {
-  IncompleteDataset dataset = MakeDataset();
-  const double* slab_before = dataset.flat_data();
-  const int start_before = dataset.flat_row(2, 0);
-  dataset.ReplaceCandidates(2, {{7.0, 7.0}, {6.0, 5.0}});  // 3 -> 2 slots
-  EXPECT_EQ(dataset.flat_row(2, 0), start_before);
-  EXPECT_EQ(dataset.flat_data(), slab_before);
-  ExpectFlatMirrorsVectors(dataset);
-  // Shrink-then-restore (the slow selection path's save/restore pattern)
-  // stays within the example's original capacity.
-  dataset.ReplaceCandidates(2, {{0.0, 0.0}, {1.0, 1.0}, {2.0, 2.0}});
-  EXPECT_EQ(dataset.flat_row(2, 0), start_before);
-  ExpectFlatMirrorsVectors(dataset);
-}
-
-TEST(IncompleteDatasetFlatTest, ReplaceBeyondCapacityRelaysTheSlab) {
-  IncompleteDataset dataset = MakeDataset();
-  dataset.ReplaceCandidates(0, {{9.0, 9.0}, {8.0, 8.0}});  // capacity 1 -> 2
-  EXPECT_EQ(dataset.total_candidates(), 7);
-  EXPECT_TRUE(dataset.flat_is_compact());  // rebuild re-compacts everything
-  ExpectFlatMirrorsVectors(dataset);
-  EXPECT_EQ(dataset.flat_row(1, 0), 2);  // offsets shifted by the growth
 }
 
 TEST(IncompleteDatasetFlatTest, MirrorSurvivesMixedMutation) {
   IncompleteDataset dataset = MakeDataset();
   dataset.FixExample(1, 1);
-  dataset.ReplaceCandidates(2, {{4.0, 4.0}, {5.0, 5.0}, {6.0, 6.0},
-                                {7.0, 7.0}});  // grows: rebuild
   ASSERT_TRUE(dataset.AddExample({{{1.5, 2.5}, {3.5, 4.5}}, 1}).ok());
-  dataset.FixExample(3, 0);
-  ExpectFlatMirrorsVectors(dataset);
-  EXPECT_EQ(dataset.total_candidates(), 1 + 1 + 4 + 1);
+  dataset.FixExample(3, 1);
+  ExpectFlatRowsAndNorms(dataset);
+  EXPECT_EQ(dataset.total_candidates(), 1 + 1 + 3 + 1);
+  // Appended after a fix, the new example's rows follow the retired ones.
+  EXPECT_EQ(dataset.flat_row(3, 0), 6);
+  EXPECT_EQ(dataset.candidate(3, 0), (std::vector<double>{3.5, 4.5}));
 }
 
 }  // namespace

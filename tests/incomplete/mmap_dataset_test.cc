@@ -1,6 +1,6 @@
 // The file-backed (mmap) candidate slab: bit-identity with RAM mode for
 // every similarity kernel and compiled SIMD level, streamed multi-block
-// scans, in-place and growing mutations while mapped, journal semantics,
+// scans, in-place fixes and slab growth while mapped, journal semantics,
 // copy semantics, and the v3 (versioned) serialization round-trip.
 
 #include <gtest/gtest.h>
@@ -135,20 +135,20 @@ TEST(MmapDatasetTest, MutationsWhileMappedMatchRamTwin) {
   BackOrDie(&mapped);
   const auto mutate = [](IncompleteDataset* d) {
     d->FixExample(2, 0);
-    // Same-size replacement stays in place; the larger one forces the
-    // slab to grow (file mode: remap) or rebuild.
-    d->ReplaceCandidates(5, {{1.0, 2.0, 3.0, 4.0, 5.0}});
-    d->ReplaceCandidates(
-        7, {{0.1, 0.2, 0.3, 0.4, 0.5},
-            {1.5, 2.5, 3.5, 4.5, 5.5},
-            {-1.0, -2.0, -3.0, -4.0, -5.0},
-            {9.0, 8.0, 7.0, 6.0, 5.0},
-            {1.0 / 3.0, 2.0 / 3.0, 1e300, -0.0, 4.2}});
+    // A fix to a later candidate copies that row within the mapped slab.
+    for (int i = 3; i < d->num_examples(); ++i) {
+      if (d->num_candidates(i) > 1) {
+        d->FixExample(i, d->num_candidates(i) - 1);
+        break;
+      }
+    }
+    // Appending grows the slab (file mode: remap).
     IncompleteExample extra;
     extra.label = 1;
     extra.candidates = {{1.0, 1.0, 1.0, 1.0, 1.0},
-                        {2.0, 2.0, 2.0, 2.0, 2.0}};
+                        {1.0 / 3.0, 2.0 / 3.0, 1e300, -0.0, 4.2}};
     ASSERT_TRUE(d->AddExample(std::move(extra)).ok());
+    d->FixExample(d->num_examples() - 1, 1);
     d->FixExample(0, 0);
   };
   mutate(&ram);
@@ -164,12 +164,13 @@ TEST(MmapDatasetTest, MutationsWhileMappedMatchRamTwin) {
 }
 
 TEST(MmapDatasetTest, JournalRecordsMutationsSinceEnable) {
+  // The journal is always on: coverage starts at the version the dataset
+  // was built at, and every fix after it is recorded.
   IncompleteDataset dataset = MakeDataset(15);
   const uint64_t v0 = dataset.version();
-  EXPECT_FALSE(dataset.journal_enabled());
-  dataset.EnableJournal();
   EXPECT_TRUE(dataset.JournalCovers(v0));
   EXPECT_FALSE(dataset.JournalCovers(v0 - 1));
+  EXPECT_TRUE(dataset.JournalSince(v0).empty());
   dataset.FixExample(1, 0);
   dataset.FixExample(3, 0);
   const std::vector<MutationRecord> all = dataset.JournalSince(v0);
@@ -180,18 +181,34 @@ TEST(MmapDatasetTest, JournalRecordsMutationsSinceEnable) {
   EXPECT_EQ(all[1].example, 3);
   EXPECT_EQ(dataset.JournalSince(v0 + 1).size(), 1u);
   EXPECT_EQ(dataset.JournalSince(v0 + 2).size(), 0u);
+  // An append is not a journaled mutation: coverage restarts past it.
+  ASSERT_TRUE(dataset.AddCleanExample({1.0, 2.0, 3.0, 4.0, 5.0}, 0).ok());
+  const uint64_t v1 = dataset.version();
+  EXPECT_FALSE(dataset.JournalCovers(v0 + 2));
+  EXPECT_TRUE(dataset.JournalCovers(v1));
+  EXPECT_TRUE(dataset.JournalSince(v1).empty());
+  // So does a version forced for replay, which needs an empty journal.
+  IncompleteDataset rehydrated = MakeDataset(15);
+  rehydrated.OverrideVersionForReplay(v1 + 10);
+  EXPECT_FALSE(rehydrated.JournalCovers(v1 + 9));
+  EXPECT_TRUE(rehydrated.JournalCovers(v1 + 10));
 }
 
 TEST(MmapDatasetTest, CopiesMaterializeToRamAndDropJournal) {
   IncompleteDataset mapped = MakeDataset(16);
   BackOrDie(&mapped);
-  mapped.EnableJournal();
+  const uint64_t v0 = mapped.version();
   mapped.FixExample(0, 0);
   const IncompleteDataset copy = mapped;
   EXPECT_FALSE(copy.file_backed());
-  EXPECT_FALSE(copy.journal_enabled());
   EXPECT_EQ(copy.version(), mapped.version());
   EXPECT_TRUE(BitIdentical(copy, mapped));
+  // The source keeps its fix; the copy's journal starts empty at the
+  // version it was copied at.
+  EXPECT_EQ(mapped.JournalSince(v0).size(), 1u);
+  EXPECT_FALSE(copy.JournalCovers(v0));
+  EXPECT_TRUE(copy.JournalCovers(copy.version()));
+  EXPECT_TRUE(copy.JournalSince(copy.version()).empty());
 }
 
 TEST(MmapDatasetTest, InjectedMapFaultLeavesRamMode) {

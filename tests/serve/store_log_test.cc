@@ -4,8 +4,9 @@
 // disk at all, rehydration replays base + log bit-identically, the log
 // folds into a fresh base when it outgrows the compaction threshold
 // (also under concurrent readers), torn tails recover, mid-log damage
-// fails loudly, drop/startup-sweep remove logs, and the mmap storage
-// mode serves bit-identical answers end to end.
+// fails loudly, drop/startup-sweep remove logs, the mmap storage mode
+// serves bit-identical answers end to end, and a committed snapshot + log
+// pair keeps rehydrating to the bytes it was written with.
 
 #include <gtest/gtest.h>
 
@@ -97,6 +98,69 @@ double Counter(Server* server, const std::string& name) {
   const JsonValue metrics = ParseOk(server->HandleLine("{\"op\":\"metrics\"}"));
   const JsonValue* counter = metrics.Find("counters")->Find(name);
   return counter == nullptr ? 0.0 : counter->number_value();
+}
+
+/// The hex task fingerprint a snapshot's "task" section records.
+std::string StoredFingerprint(const std::string& snapshot) {
+  const size_t pos = snapshot.find("\nfingerprint ");
+  return pos == std::string::npos ? "" : snapshot.substr(pos + 13, 16);
+}
+
+// tests/serve/pinned_store/ holds files a cpclean_server wrote before the
+// candidate slab became the dataset's only store, from this stdio script
+// with --data-dir (session "pinned", the CreateRequest shape above at
+// seed 7):
+//   create_session; clean_step x2; save_session  -> pinned.cpsession
+//   clean_step; save_session (a delta save)      -> pinned.cplog
+// pinned_after_log.cpsession is the full save of the same session after
+// the same three steps, from a fresh data dir. The current build must read
+// them and write the same bytes back: the on-disk format is pinned.
+TEST(StoreLogTest, CommittedSnapshotAndLogRehydrateToTheSameBytes) {
+  const std::string fixture =
+      std::string(CPCLEAN_SOURCE_DIR) + "/tests/serve/pinned_store";
+  const std::string base = ReadFile(fixture + "/pinned.cpsession");
+  const std::string log = ReadFile(fixture + "/pinned.cplog");
+  const std::string after_log =
+      ReadFile(fixture + "/pinned_after_log.cpsession");
+  ASSERT_FALSE(base.empty());
+  ASSERT_EQ(log.rfind("cpclean-log-v1\nfix ", 0), 0u) << log;
+
+  // Base alone: re-serializing the rehydrated session gives the base back.
+  {
+    const std::string dir = FreshDataDir("pinned_base");
+    WriteFile(dir + "/pinned.cpsession", base);
+    Server server = MakeServer(dir);
+    ParseOk(server.HandleLine("{\"op\":\"load_session\",\"session\":"
+                              "\"pinned\"}"));
+    const std::shared_ptr<ServeSession> session =
+        server.registry().Get("pinned").value();
+    EXPECT_EQ(StrFormat("%016llx", static_cast<unsigned long long>(
+                                       TaskFingerprint(session->task()))),
+              StoredFingerprint(base));
+    EXPECT_EQ(session->SerializeSnapshot(), base);
+  }
+  // Base + log: the log's fix replays, and the session serializes to the
+  // full snapshot written after the same three steps.
+  {
+    const std::string dir = FreshDataDir("pinned_log");
+    WriteFile(dir + "/pinned.cpsession", base);
+    WriteFile(dir + "/pinned.cplog", log);
+    Server server = MakeServer(dir);
+    const double replayed_before =
+        Counter(&server, "store.log_replayed_records");
+    ParseOk(server.HandleLine("{\"op\":\"load_session\",\"session\":"
+                              "\"pinned\"}"));
+    EXPECT_EQ(Counter(&server, "store.log_replayed_records"),
+              replayed_before + 1);
+    const std::shared_ptr<ServeSession> session =
+        server.registry().Get("pinned").value();
+    EXPECT_EQ(StrFormat("%016llx", static_cast<unsigned long long>(
+                                       TaskFingerprint(session->task()))),
+              StoredFingerprint(after_log));
+    EXPECT_EQ(session->SerializeSnapshot(), after_log);
+    // The log file itself is untouched by the rehydration.
+    EXPECT_EQ(ReadFile(dir + "/pinned.cplog"), log);
+  }
 }
 
 TEST(StoreLogTest, DeltaSaveAppendsLogAndLeavesBaseUntouched) {
