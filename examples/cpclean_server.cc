@@ -22,14 +22,16 @@
 // `--log-compact-bytes=N` sets the cleaning-log size at which a delta
 // save compacts into a fresh full base snapshot.
 //
-// TCP transport knobs: `--max-connections=N` bounds concurrent TCP
-// connections (an fd-table guard; overload gets a structured error),
-// `--max-inflight=N` bounds dispatched-but-unanswered requests (the real
-// admission control — idle connections are nearly free),
-// `--poller-threads=N` sets how many event-loop threads hold the
-// connections, `--request-workers=N` sizes the request execution pool
-// (0 = hardware concurrency), and `--no-coalesce` disables merging of
-// identical concurrent q2 requests into one engine evaluation.
+// TCP transport (README "Transport"): one event-loop thread holds every
+// connection and identical queued q2 requests merge into one engine
+// evaluation. `--max-connections=N` bounds concurrent TCP connections (an
+// fd-table guard; overload gets a structured error), `--max-inflight=N`
+// bounds dispatched-but-unanswered requests (the real admission control —
+// idle connections are nearly free), and `--request-workers=N` sizes the
+// request execution pool (0 = hardware concurrency).
+//
+// Every flag value must fit its field: ports lie in [0, 65535] and
+// int-valued flags in int range, or the server exits 2 without listening.
 //
 // Resilience knobs (README "Resilience"): `--request-timeout-ms=N`
 // answers DeadlineExceeded for requests unanswered after N ms (0 = no
@@ -46,7 +48,9 @@
 // `--slow-request-ms=N` logs one structured JSON line with the full span
 // phase breakdown for every request slower than N ms.
 
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -73,8 +77,9 @@ bool ParseIntFlag(const char* arg, const char* name, long* out) {
   const size_t len = std::strlen(name);
   if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
   char* end = nullptr;
+  errno = 0;
   *out = std::strtol(arg + len + 1, &end, 10);
-  return end != nullptr && *end == '\0';
+  return errno == 0 && end != nullptr && *end == '\0';
 }
 
 bool ParseStringFlag(const char* arg, const char* name, std::string* out) {
@@ -95,7 +100,6 @@ int main(int argc, char** argv) {
   long max_sessions = 0;
   long max_connections = 0;
   long max_inflight = 0;
-  long poller_threads = 1;
   long request_workers = 0;
   long request_timeout_ms = 0;
   long idle_timeout_ms = 0;
@@ -104,7 +108,6 @@ int main(int argc, char** argv) {
   long max_output_bytes = 32 << 20;
   long metrics_port = -1;
   long slow_request_ms = 0;
-  bool coalesce = true;
   std::string data_dir;
   std::string storage_mode = "ram";
   long log_compact_bytes = 1 << 20;
@@ -128,8 +131,6 @@ int main(int argc, char** argv) {
       max_connections = value;
     } else if (ParseIntFlag(arg, "--max-inflight", &value)) {
       max_inflight = value;
-    } else if (ParseIntFlag(arg, "--poller-threads", &value)) {
-      poller_threads = value;
     } else if (ParseIntFlag(arg, "--request-workers", &value)) {
       request_workers = value;
     } else if (ParseIntFlag(arg, "--request-timeout-ms", &value)) {
@@ -146,8 +147,6 @@ int main(int argc, char** argv) {
       metrics_port = value;
     } else if (ParseIntFlag(arg, "--slow-request-ms", &value)) {
       slow_request_ms = value;
-    } else if (std::strcmp(arg, "--no-coalesce") == 0) {
-      coalesce = false;
     } else if (ParseStringFlag(arg, "--data-dir", &data_dir)) {
     } else if (ParseStringFlag(arg, "--storage-mode", &storage_mode)) {
     } else if (ParseIntFlag(arg, "--log-compact-bytes", &value)) {
@@ -157,15 +156,15 @@ int main(int argc, char** argv) {
           "usage: cpclean_server [--stdio | --port=N] [--threads=N] "
           "[--cache=N] [--data-dir=PATH] [--max-sessions=N] "
           "[--storage-mode=ram|mmap] [--log-compact-bytes=N] "
-          "[--max-connections=N] [--max-inflight=N] [--poller-threads=N] "
-          "[--request-workers=N] [--no-coalesce] "
+          "[--max-connections=N] [--max-inflight=N] [--request-workers=N] "
           "[--request-timeout-ms=N] [--idle-timeout-ms=N] "
           "[--max-request-bytes=N] [--output-hwm-bytes=N] "
           "[--max-output-bytes=N] [--metrics-port=N] "
           "[--slow-request-ms=N]\n");
       return 0;
     } else {
-      std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg);
+      std::fprintf(stderr, "unknown flag or malformed value: %s (try --help)\n",
+                   arg);
       return 2;
     }
   }
@@ -185,8 +184,18 @@ int main(int argc, char** argv) {
                  "--max-output-bytes must be >= 0\n");
     return 2;
   }
-  if (poller_threads < 1) {
-    std::fprintf(stderr, "--poller-threads must be >= 1\n");
+  if ((!stdio && (port < 0 || port > 65535)) || metrics_port > 65535) {
+    std::fprintf(stderr, "--port/--metrics-port must be in [0, 65535]\n");
+    return 2;
+  }
+  if (threads < INT_MIN || threads > INT_MAX || max_connections > INT_MAX ||
+      max_inflight > INT_MAX || request_workers > INT_MAX ||
+      request_timeout_ms > INT_MAX || idle_timeout_ms > INT_MAX ||
+      slow_request_ms > INT_MAX) {
+    std::fprintf(stderr,
+                 "--threads/--max-connections/--max-inflight/"
+                 "--request-workers/--request-timeout-ms/--idle-timeout-ms/"
+                 "--slow-request-ms must fit in an int\n");
     return 2;
   }
   if (slow_request_ms < 0) {
@@ -229,9 +238,7 @@ int main(int argc, char** argv) {
   options.log_compact_bytes = static_cast<size_t>(log_compact_bytes);
   options.max_connections = static_cast<int>(max_connections);
   options.max_inflight = static_cast<int>(max_inflight);
-  options.poller_threads = static_cast<int>(poller_threads);
   options.request_workers = static_cast<int>(request_workers);
-  options.coalesce_q2 = coalesce;
   options.request_timeout_ms = static_cast<int>(request_timeout_ms);
   options.idle_timeout_ms = static_cast<int>(idle_timeout_ms);
   options.max_request_bytes = static_cast<size_t>(max_request_bytes);

@@ -82,8 +82,7 @@ EventLoop::EventLoop(Server* server, int listen_fd,
     : server_(server),
       listen_fd_(listen_fd),
       options_(options),
-      metrics_listen_fd_(metrics_listen_fd),
-      num_pollers_(std::max(options.poller_threads, 1)) {
+      metrics_listen_fd_(metrics_listen_fd) {
   num_workers_ = options_.request_workers > 0 ? options_.request_workers
                                               : ThreadPool::HardwareThreads();
   overload_line_ = ErrorLine(
@@ -98,24 +97,20 @@ EventLoop::EventLoop(Server* server, int listen_fd,
 
 EventLoop::~EventLoop() {
   // The epoll/wake fds close HERE, not in Run()'s teardown: Server::Stop
-  // calls Wake() through its published loop pointer under conn_mu_, and
-  // ServeTcp unpublishes that pointer (same mutex) after Run returns but
-  // before this destructor — so no Wake can race a close and write into a
-  // recycled descriptor.
-  for (const std::unique_ptr<Poller>& p : pollers_) {
-    if (p->epoll_fd >= 0) ::close(p->epoll_fd);
-    if (p->wake_fd >= 0) ::close(p->wake_fd);
-  }
+  // calls HardStop() (and so Wake()) through its published loop pointer
+  // under conn_mu_, and ServeTcp unpublishes that pointer (same mutex)
+  // after Run returns but before this destructor — so no Wake can race a
+  // close and write into a recycled descriptor. The reserve fd closes here
+  // too, so a Run that fails during setup leaks nothing.
+  if (epoll_fd_ >= 0) ::close(epoll_fd_);
+  if (wake_fd_ >= 0) ::close(wake_fd_);
+  if (spare_fd_ >= 0) ::close(spare_fd_);
 }
 
 void EventLoop::Wake() {
-  for (const std::unique_ptr<Poller>& p : pollers_) {
-    if (p == nullptr || p->wake_fd < 0) continue;
-    const uint64_t one = 1;
-    // write(2) only: callable from a signal handler. A full eventfd
-    // counter (EAGAIN) already guarantees a pending wake.
-    (void)!::write(p->wake_fd, &one, sizeof(one));
-  }
+  const uint64_t one = 1;
+  // A full eventfd counter (EAGAIN) already guarantees a pending wake.
+  (void)!::write(wake_fd_, &one, sizeof(one));
 }
 
 void EventLoop::HardStop() {
@@ -125,7 +120,7 @@ void EventLoop::HardStop() {
 
 Status EventLoop::Run() {
   // The listener must be non-blocking: AcceptReady drains it until EAGAIN,
-  // and a blocking accept4 would wedge poller 0 once the backlog empties.
+  // and a blocking accept4 would wedge the loop once the backlog empties.
   {
     const int flags = ::fcntl(listen_fd_, F_GETFL, 0);
     ::fcntl(listen_fd_, F_SETFL, flags | O_NONBLOCK);
@@ -134,46 +129,26 @@ Status EventLoop::Run() {
   // briefly free a slot, accept the surplus connection, and turn it away
   // with a structured line instead of leaving it dangling in the backlog.
   spare_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-  pollers_.reserve(static_cast<size_t>(num_pollers_));
-  for (int i = 0; i < num_pollers_; ++i) {
-    auto p = std::make_unique<Poller>();
-    p->epoll_fd = ::epoll_create1(0);
-    p->wake_fd = ::eventfd(0, EFD_NONBLOCK);
-    if (p->epoll_fd < 0 || p->wake_fd < 0) {
-      const Status status = Status::IoError(
-          StrFormat("event loop setup: %s", std::strerror(errno)));
-      if (p->epoll_fd >= 0) ::close(p->epoll_fd);
-      if (p->wake_fd >= 0) ::close(p->wake_fd);
-      // Already-built pollers stay in pollers_; the destructor closes
-      // their fds after the loop is unpublished (see ~EventLoop).
-      ::close(listen_fd_);
-      if (metrics_listen_fd_ >= 0) ::close(metrics_listen_fd_);
-      return status;
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = p->wake_fd;
-    ::epoll_ctl(p->epoll_fd, EPOLL_CTL_ADD, p->wake_fd, &ev);
-    pollers_.push_back(std::move(p));
+  epoll_fd_ = ::epoll_create1(0);
+  if (epoll_fd_ >= 0) wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
+  if (wake_fd_ < 0) {
+    // ~EventLoop closes whichever of the loop's own fds did open.
+    const Status status = Status::IoError(
+        StrFormat("event loop setup: %s", std::strerror(errno)));
+    ::close(listen_fd_);
+    if (metrics_listen_fd_ >= 0) ::close(metrics_listen_fd_);
+    return status;
   }
-  {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = listen_fd_;
-    ::epoll_ctl(pollers_[0]->epoll_fd, EPOLL_CTL_ADD, listen_fd_, &ev);
-    listener_open_.store(true);
-  }
+  Watch(wake_fd_);
+  Watch(listen_fd_);
+  listener_open_ = true;
   if (metrics_listen_fd_ >= 0) {
-    // The /metrics listener shares poller 0 with the main listener; its
+    // The /metrics listener shares the loop with the main listener; its
     // connections are one-shot HTTP GETs and never touch the work queue.
     const int flags = ::fcntl(metrics_listen_fd_, F_GETFL, 0);
     ::fcntl(metrics_listen_fd_, F_SETFL, flags | O_NONBLOCK);
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = metrics_listen_fd_;
-    ::epoll_ctl(pollers_[0]->epoll_fd, EPOLL_CTL_ADD,
-                metrics_listen_fd_, &ev);
-    metrics_listener_open_.store(true);
+    Watch(metrics_listen_fd_);
+    metrics_listener_open_ = true;
   }
 
   std::vector<std::thread> workers;
@@ -181,15 +156,9 @@ Status EventLoop::Run() {
   for (int w = 0; w < num_workers_; ++w) {
     workers.emplace_back([this] { WorkerLoop(); });
   }
-  std::vector<std::thread> pollers;
-  pollers.reserve(static_cast<size_t>(num_pollers_ - 1));
-  for (int i = 1; i < num_pollers_; ++i) {
-    pollers.emplace_back([this, i] { PollerLoop(i); });
-  }
-  PollerLoop(0);  // the caller is poller 0
-  for (std::thread& t : pollers) t.join();
+  PollerLoop();
 
-  // Pollers are done, so the queue can only shrink: let the workers drain
+  // The loop is done, so the queue can only shrink: let the workers drain
   // whatever is left (responses to already-closed connections are simply
   // discarded) and exit.
   {
@@ -199,90 +168,74 @@ Status EventLoop::Run() {
   queue_cv_.notify_all();
   for (std::thread& t : workers) t.join();
 
-  if (listener_open_.exchange(false)) ::close(listen_fd_);
-  if (metrics_listener_open_.exchange(false)) {
-    ::close(metrics_listen_fd_);
-  }
-  if (spare_fd_ >= 0) {
-    ::close(spare_fd_);
-    spare_fd_ = -1;
-  }
-  // Poller epoll/wake fds intentionally stay open until ~EventLoop runs,
-  // after ServeTcp unpublishes the loop: a late Server::Stop may still
-  // Wake() them.
+  // PollerLoop returns only after closing both listeners. The epoll/wake
+  // fds intentionally stay open until ~EventLoop runs, after ServeTcp
+  // unpublishes the loop: a late Server::Stop may still Wake() them.
   return Status::OK();
 }
 
-void EventLoop::PollerLoop(int index) {
-  Poller& p = *pollers_[static_cast<size_t>(index)];
+void EventLoop::PollerLoop() {
   std::vector<epoll_event> events(256);
-  bool announced_stop = false;
   while (true) {
     const bool hard = hard_stop_.load();
-    const bool stopping = hard || server_->stopping();
-    if (stopping) {
-      if (!announced_stop) {
-        announced_stop = true;
-        Wake();  // every poller should notice now, not at its timeout
-      }
-      if (index == 0 && listener_open_.exchange(false)) {
-        ::epoll_ctl(p.epoll_fd, EPOLL_CTL_DEL, listen_fd_, nullptr);
+    if (hard || server_->stopping()) {
+      if (listener_open_) {
+        listener_open_ = false;
+        ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
         ::close(listen_fd_);
       }
-      if (index == 0 && metrics_listener_open_.exchange(false)) {
-        ::epoll_ctl(p.epoll_fd, EPOLL_CTL_DEL, metrics_listen_fd_,
-                    nullptr);
+      if (metrics_listener_open_) {
+        metrics_listener_open_ = false;
+        ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, metrics_listen_fd_, nullptr);
         ::close(metrics_listen_fd_);
       }
       // Graceful: stop reading (lines already framed still get answers,
-      // unread socket bytes are dropped — the thread-per-connection
-      // semantics). Hard: drop everything now.
+      // unread socket bytes are dropped). Hard: drop everything now.
       std::vector<std::shared_ptr<Connection>> snapshot;
-      snapshot.reserve(p.conns.size());
-      for (const auto& entry : p.conns) snapshot.push_back(entry.second);
+      snapshot.reserve(conns_.size());
+      for (const auto& entry : conns_) snapshot.push_back(entry.second);
       for (const std::shared_ptr<Connection>& conn : snapshot) {
         if (hard) {
-          CloseConnection(p, conn);
+          CloseConnection(conn);
           continue;
         }
         if (conn->reading) {
           conn->reading = false;
-          UpdateInterest(p, *conn);
+          UpdateInterest(*conn);
         }
         // Drain: framed lines still get dispatched and answered; closes
         // the connection once everything has flushed.
-        DispatchLines(p, conn);
+        DispatchLines(conn);
       }
       bool inbox_empty;
       {
-        std::lock_guard<std::mutex> lock(p.mu);
-        inbox_empty = p.incoming.empty() && p.completions.empty();
+        std::lock_guard<std::mutex> lock(completions_mu_);
+        inbox_empty = completions_.empty();
       }
-      if (p.conns.empty() && inbox_empty) return;
+      if (conns_.empty() && inbox_empty) return;
     }
 
-    const int n = ::epoll_wait(p.epoll_fd, events.data(),
+    const int n = ::epoll_wait(epoll_fd_, events.data(),
                                static_cast<int>(events.size()),
                                kPollTimeoutMs);
     for (int e = 0; e < n; ++e) {
       const int fd = events[static_cast<size_t>(e)].data.fd;
       const uint32_t mask = events[static_cast<size_t>(e)].events;
-      if (fd == p.wake_fd) {
+      if (fd == wake_fd_) {
         uint64_t drain = 0;
-        (void)!::read(p.wake_fd, &drain, sizeof(drain));
+        (void)!::read(fd, &drain, sizeof(drain));
         continue;
       }
-      if (index == 0 && fd == listen_fd_ && listener_open_.load()) {
-        AcceptReady(p);
+      if (fd == listen_fd_ && listener_open_) {
+        AcceptReady();
         continue;
       }
-      if (index == 0 && fd == metrics_listen_fd_ &&
-          metrics_listener_open_.load()) {
-        AcceptMetricsReady(p);
+      if (fd == metrics_listen_fd_ && metrics_listener_open_) {
+        AcceptMetricsReady();
         continue;
       }
-      const auto it = p.conns.find(fd);
-      if (it == p.conns.end()) continue;  // closed earlier in this batch
+      const auto it = conns_.find(fd);
+      if (it == conns_.end()) continue;  // closed earlier in this batch
       const std::shared_ptr<Connection> conn = it->second;
       // EPOLLHUP/EPOLLERR arrive with no interest bits set; route them
       // through the read path (recv observes the EOF/error) while the
@@ -290,26 +243,20 @@ void EventLoop::PollerLoop(int index) {
       // observes the reset).
       if (conn->reading &&
           (mask & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
-        ReadReady(p, conn);
+        ReadReady(conn);
       }
       if (conn->closed) continue;
       if ((mask & EPOLLOUT) != 0 ||
           (!conn->reading && (mask & (EPOLLERR | EPOLLHUP)) != 0)) {
-        FlushConnection(p, conn);
+        FlushConnection(conn);
       }
     }
 
-    // Cross-thread inboxes: adopted connections (dealt by poller 0) and
-    // completed responses (signed off by workers).
-    std::vector<std::shared_ptr<Connection>> incoming;
+    // Completed responses, signed off by workers.
     std::vector<std::shared_ptr<Connection>> completions;
     {
-      std::lock_guard<std::mutex> lock(p.mu);
-      incoming.swap(p.incoming);
-      completions.swap(p.completions);
-    }
-    for (const std::shared_ptr<Connection>& conn : incoming) {
-      AdoptConnection(p, conn);
+      std::lock_guard<std::mutex> lock(completions_mu_);
+      completions.swap(completions_);
     }
     for (const std::shared_ptr<Connection>& conn : completions) {
       if (conn->closed) continue;
@@ -318,35 +265,31 @@ void EventLoop::PollerLoop(int index) {
       conn->exec_has_id = false;
       // The head response just became ready: flush it and dispatch the
       // next pending line, if any.
-      DispatchLines(p, conn);
+      DispatchLines(conn);
     }
 
-    Housekeeping(p, index);
+    Housekeeping();
   }
 }
 
-void EventLoop::Housekeeping(Poller& p, int index) {
+void EventLoop::Housekeeping() {
   const bool timers_armed =
       options_.request_timeout_ms > 0 || options_.idle_timeout_ms > 0;
-  if (!timers_armed && !(index == 0 && listener_parked_)) return;
+  if (!timers_armed && !listener_parked_) return;
   const auto now = std::chrono::steady_clock::now();
 
-  if (index == 0 && listener_parked_ && listener_open_.load() &&
-      now >= listener_retry_at_) {
+  if (listener_parked_ && listener_open_ && now >= listener_retry_at_) {
     listener_parked_ = false;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = listen_fd_;
-    ::epoll_ctl(p.epoll_fd, EPOLL_CTL_ADD, listen_fd_, &ev);
+    Watch(listen_fd_);
   }
   if (!timers_armed) return;
 
   Server::TransportCounters& counters = server_->transport_counters();
-  // Collect first, act second: both actions mutate p.conns (via
+  // Collect first, act second: both actions mutate conns_ (via
   // CloseConnection) and must not run mid-iteration.
   std::vector<std::shared_ptr<Connection>> expired;
   std::vector<std::shared_ptr<Connection>> idle;
-  for (const auto& entry : p.conns) {
+  for (const auto& entry : conns_) {
     const std::shared_ptr<Connection>& conn = entry.second;
     if (options_.request_timeout_ms > 0 && conn->executing &&
         conn->exec_slot != nullptr && now >= conn->exec_deadline) {
@@ -382,30 +325,30 @@ void EventLoop::Housekeeping(Poller& p, int index) {
     // next pipelined request must not run concurrently with the
     // abandoned one (per-connection serial semantics hold even across a
     // deadline).
-    FlushConnection(p, conn);
+    FlushConnection(conn);
   }
   for (const std::shared_ptr<Connection>& conn : idle) {
     if (conn->closed) continue;
     counters.idle_reaped.fetch_add(1, std::memory_order_relaxed);
-    CloseConnection(p, conn);
+    CloseConnection(conn);
   }
 }
 
-void EventLoop::ParkListener(Poller& p) {
-  if (listener_parked_ || !listener_open_.load()) return;
+void EventLoop::ParkListener() {
+  if (listener_parked_ || !listener_open_) return;
   // Accept keeps failing even with the spare fd freed: re-arming EPOLLIN
-  // would spin the poller at 100% re-reporting the same condition.
+  // would spin the loop at 100% re-reporting the same condition.
   // Unhook the listener and retry on a doubling clock; pending clients
   // wait in the kernel backlog meanwhile.
   listener_parked_ = true;
-  ::epoll_ctl(p.epoll_fd, EPOLL_CTL_DEL, listen_fd_, nullptr);
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
   accept_backoff_ms_ =
       accept_backoff_ms_ == 0 ? 10 : std::min(accept_backoff_ms_ * 2, 2000);
   listener_retry_at_ = std::chrono::steady_clock::now() +
                        std::chrono::milliseconds(accept_backoff_ms_);
 }
 
-void EventLoop::AcceptReady(Poller& p) {
+void EventLoop::AcceptReady() {
   while (true) {
     // el.accept simulates fd-table exhaustion: the pending connection is
     // handled by the EMFILE recovery below, exactly as a real EMFILE
@@ -442,11 +385,11 @@ void EventLoop::AcceptReady(Poller& p) {
         spare_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
         if (victim >= 0) continue;  // rejected one; keep draining
         if (backlog_empty) return;
-        ParkListener(p);  // even the spare didn't help: stop busy-spinning
+        ParkListener();  // even the spare didn't help: stop busy-spinning
         return;
       }
       // Listener shut down (RequestStop) or fatal accept error: wind the
-      // whole transport down, as the blocking accept loop did.
+      // whole transport down.
       server_->RequestStop();
       return;
     }
@@ -477,23 +420,11 @@ void EventLoop::AcceptReady(Poller& p) {
     auto conn = std::make_shared<Connection>();
     conn->fd = client;
     conn->last_activity = std::chrono::steady_clock::now();
-    conn->poller = static_cast<int>(next_poller_.fetch_add(1) %
-                                    static_cast<uint64_t>(pollers_.size()));
-    if (conn->poller == 0) {
-      AdoptConnection(p, conn);
-    } else {
-      Poller& target = *pollers_[static_cast<size_t>(conn->poller)];
-      {
-        std::lock_guard<std::mutex> lock(target.mu);
-        target.incoming.push_back(conn);
-      }
-      const uint64_t one = 1;
-      (void)!::write(target.wake_fd, &one, sizeof(one));
-    }
+    AdoptConnection(conn);
   }
 }
 
-void EventLoop::AcceptMetricsReady(Poller& p) {
+void EventLoop::AcceptMetricsReady() {
   while (true) {
     const int client = ::accept4(metrics_listen_fd_, nullptr,
                                  nullptr, SOCK_NONBLOCK);
@@ -510,21 +441,19 @@ void EventLoop::AcceptMetricsReady(Poller& p) {
     auto conn = std::make_shared<Connection>();
     conn->fd = client;
     conn->http = true;
-    conn->poller = 0;
     conn->last_activity = std::chrono::steady_clock::now();
-    AdoptConnection(p, conn);
+    AdoptConnection(conn);
   }
 }
 
-bool EventLoop::HandleHttpRequest(Poller& p,
-                                  const std::shared_ptr<Connection>& conn) {
+bool EventLoop::HandleHttpRequest(const std::shared_ptr<Connection>& conn) {
   // Wait for the complete request head; scrapers send no body.
   size_t head_end = conn->in_buffer.find("\r\n\r\n");
   if (head_end == std::string::npos) {
     head_end = conn->in_buffer.find("\n\n");
   }
   if (head_end == std::string::npos) {
-    if (conn->in_buffer.size() > 8192) CloseConnection(p, conn);
+    if (conn->in_buffer.size() > 8192) CloseConnection(conn);
     return false;
   }
   const bool is_metrics = conn->in_buffer.rfind("GET /metrics", 0) == 0;
@@ -555,34 +484,37 @@ bool EventLoop::HandleHttpRequest(Poller& p,
   // One-shot: stop reading; the flush path closes once the response (and
   // nothing else — http connections never execute requests) drains.
   conn->reading = false;
-  UpdateInterest(p, *conn);
+  UpdateInterest(*conn);
   return true;
 }
 
-void EventLoop::AdoptConnection(Poller& p,
-                                const std::shared_ptr<Connection>& conn) {
-  p.conns.emplace(conn->fd, conn);
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = conn->fd;
-  ::epoll_ctl(p.epoll_fd, EPOLL_CTL_ADD, conn->fd, &ev);
+void EventLoop::AdoptConnection(const std::shared_ptr<Connection>& conn) {
+  conns_.emplace(conn->fd, conn);
+  Watch(conn->fd);
 }
 
-void EventLoop::UpdateInterest(Poller& p, Connection& conn) {
+void EventLoop::Watch(int fd) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+}
+
+void EventLoop::UpdateInterest(Connection& conn) {
   epoll_event ev{};
   ev.events = ((conn.reading && !conn.read_paused) ? EPOLLIN : 0u) |
               (conn.want_write ? EPOLLOUT : 0u);
   ev.data.fd = conn.fd;
-  ::epoll_ctl(p.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
 }
 
-void EventLoop::ReadReady(Poller& p, const std::shared_ptr<Connection>& conn) {
+void EventLoop::ReadReady(const std::shared_ptr<Connection>& conn) {
   if (FaultHit("el.recv")) {  // injected connection reset on read
-    CloseConnection(p, conn);
+    CloseConnection(conn);
     return;
   }
   // Bounded rounds per tick so one flooding connection cannot starve the
-  // rest of this poller; level-triggered epoll re-arms leftovers.
+  // rest of the loop; level-triggered epoll re-arms leftovers.
   char chunk[16384];
   for (int round = 0; round < 16; ++round) {
     const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
@@ -595,18 +527,18 @@ void EventLoop::ReadReady(Poller& p, const std::shared_ptr<Connection>& conn) {
       // EOF: the peer may have half-closed and still expect the answers
       // to everything it pipelined — keep the write side until drained.
       conn->reading = false;
-      UpdateInterest(p, *conn);
+      UpdateInterest(*conn);
       break;
     }
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    CloseConnection(p, conn);
+    CloseConnection(conn);
     return;
   }
   if (conn->http) {
     if (!conn->closed) {
-      HandleHttpRequest(p, conn);
-      FlushConnection(p, conn);
+      HandleHttpRequest(conn);
+      FlushConnection(conn);
     }
     return;
   }
@@ -649,13 +581,12 @@ void EventLoop::ReadReady(Poller& p, const std::shared_ptr<Connection>& conn) {
     conn->in_buffer.clear();
     conn->pending_lines.clear();
     conn->reading = false;
-    UpdateInterest(p, *conn);
+    UpdateInterest(*conn);
   }
-  DispatchLines(p, conn);
+  DispatchLines(conn);
 }
 
-void EventLoop::DispatchLines(Poller& p,
-                              const std::shared_ptr<Connection>& conn) {
+void EventLoop::DispatchLines(const std::shared_ptr<Connection>& conn) {
   Server::TransportCounters& counters = server_->transport_counters();
   static MetricGauge& inflight =
       MetricsRegistry::Get().GetGauge("serve.inflight");
@@ -663,7 +594,7 @@ void EventLoop::DispatchLines(Poller& p,
       MetricsRegistry::Get().GetCounter("serve.coalesce_hits_total");
   // Serial per connection: dispatch the head line only once the previous
   // request's response slot exists — pipelined requests on one connection
-  // keep blocking-transport semantics (and response order).
+  // see each other's effects and answer in request order.
   while (!conn->executing && !conn->pending_lines.empty()) {
     const std::string line = std::move(conn->pending_lines.front());
     conn->pending_lines.pop_front();
@@ -727,8 +658,7 @@ void EventLoop::DispatchLines(Poller& p,
     const OpInfo* op_info = op != nullptr && op->is_string()
                                 ? FindOp(op->string_value())
                                 : nullptr;
-    const bool coalescable = options_.coalesce_q2 && op_info != nullptr &&
-                             op_info->coalescable;
+    const bool coalescable = op_info != nullptr && op_info->coalescable;
     WorkItem::Waiter waiter{conn, slot, id != nullptr,
                             id != nullptr ? *id : JsonValue(), {}};
     conn->outgoing.push_back(slot);
@@ -770,11 +700,10 @@ void EventLoop::DispatchLines(Poller& p,
     Enqueue(std::move(item));
     break;
   }
-  FlushConnection(p, conn);
+  FlushConnection(conn);
 }
 
-void EventLoop::FlushConnection(Poller& p,
-                                const std::shared_ptr<Connection>& conn) {
+void EventLoop::FlushConnection(const std::shared_ptr<Connection>& conn) {
   if (conn->closed) return;
   bool blocked = false;  // hit EAGAIN: the rest waits for EPOLLOUT
   while (!conn->outgoing.empty()) {
@@ -782,7 +711,7 @@ void EventLoop::FlushConnection(Poller& p,
     if (!front.ready.load(std::memory_order_acquire)) break;
     while (conn->out_offset < front.text.size()) {
       if (FaultHit("el.send")) {  // injected peer reset mid-response
-        CloseConnection(p, conn);
+        CloseConnection(conn);
         return;
       }
       if (FaultHit("el.send_eagain")) {  // injected full socket buffer
@@ -803,7 +732,7 @@ void EventLoop::FlushConnection(Poller& p,
         blocked = true;
         break;
       }
-      CloseConnection(p, conn);  // peer reset mid-response
+      CloseConnection(conn);  // peer reset mid-response
       return;
     }
     if (blocked) break;
@@ -820,11 +749,11 @@ void EventLoop::FlushConnection(Poller& p,
     // Backpressure: park the rest of this response until EPOLLOUT.
     if (!conn->want_write) {
       conn->want_write = true;
-      UpdateInterest(p, *conn);
+      UpdateInterest(*conn);
     }
   } else if (conn->want_write) {
     conn->want_write = false;
-    UpdateInterest(p, *conn);
+    UpdateInterest(*conn);
   }
 
   // Slow-client bounds. Only ready slots are counted (an unready slot's
@@ -849,7 +778,7 @@ void EventLoop::FlushConnection(Poller& p,
     // cap converts "unbounded buffering" into a loud disconnect.
     server_->transport_counters().output_overflow_closed.fetch_add(
         1, std::memory_order_relaxed);
-    CloseConnection(p, conn);
+    CloseConnection(conn);
     return;
   }
   if (options_.output_hwm_bytes > 0) {
@@ -857,27 +786,26 @@ void EventLoop::FlushConnection(Poller& p,
       // Soft bound: stop reading new requests until the backlog halves —
       // the client feels the stall as TCP backpressure, not a close.
       conn->read_paused = true;
-      UpdateInterest(p, *conn);
+      UpdateInterest(*conn);
     } else if (conn->read_paused && queued <= options_.output_hwm_bytes / 2) {
       conn->read_paused = false;
-      UpdateInterest(p, *conn);
+      UpdateInterest(*conn);
     }
   }
   // Nothing further can ever flow: no reads coming (EOF or stop), nothing
   // pending, nothing executing, nothing to flush.
   if (!conn->reading && conn->outgoing.empty() &&
       conn->pending_lines.empty() && !conn->executing) {
-    CloseConnection(p, conn);
+    CloseConnection(conn);
   }
 }
 
-void EventLoop::CloseConnection(Poller& p,
-                                const std::shared_ptr<Connection>& conn) {
+void EventLoop::CloseConnection(const std::shared_ptr<Connection>& conn) {
   if (conn->closed) return;
   conn->closed = true;
-  ::epoll_ctl(p.epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
-  p.conns.erase(conn->fd);
+  conns_.erase(conn->fd);
   if (conn->backlog_gauge > 0) {
     static MetricGauge& backlog =
         MetricsRegistry::Get().GetGauge("serve.output_backlog_bytes");
@@ -950,7 +878,7 @@ void EventLoop::Execute(WorkItem& item) {
   // Execution detail lands on the head waiter's span; coalesced joiners
   // share the evaluation, so their spans carry dispatch/flush times only.
   // The worker owns these span fields until the owner CAS in Complete —
-  // the poller reads them only after winning slots flip ready (and skips
+  // the loop reads them only after winning slots flip ready (and skips
   // deadline-reaped slots entirely).
   RequestSpan* span = item.waiters[0].slot->has_span
                           ? &item.waiters[0].slot->span
@@ -1016,7 +944,7 @@ void EventLoop::Complete(WorkItem& item) {
   inflight.Sub(static_cast<int64_t>(item.waiters.size()));
   for (WorkItem::Waiter& waiter : item.waiters) {
     // The owner CAS against the deadline reaper: install the rendering
-    // only if the slot is still ours. A lost race means the poller
+    // only if the slot is still ours. A lost race means the loop
     // already answered DeadlineExceeded — the result is discarded whole,
     // never half-written over the error line.
     int unclaimed = 0;
@@ -1028,12 +956,13 @@ void EventLoop::Complete(WorkItem& item) {
       }
       waiter.slot->ready.store(true, std::memory_order_release);
     }
-    // The completion is handed back either way: it is what releases the
-    // connection's serial-execution latch.
-    Poller& p = *pollers_[static_cast<size_t>(waiter.conn->poller)];
-    {
-      std::lock_guard<std::mutex> lock(p.mu);
-      p.completions.push_back(std::move(waiter.conn));
+  }
+  // The completions are handed back either way: they are what releases
+  // each connection's serial-execution latch.
+  {
+    std::lock_guard<std::mutex> lock(completions_mu_);
+    for (WorkItem::Waiter& waiter : item.waiters) {
+      completions_.push_back(std::move(waiter.conn));
     }
   }
   Wake();

@@ -10,7 +10,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -25,20 +24,20 @@ struct ServerOptions;
 
 /// The epoll transport behind `Server::ServeTcp`.
 ///
-/// Architecture: `poller_threads` event-loop threads own the connections
-/// (non-blocking sockets, per-connection read/write buffers, incremental
-/// newline framing); poller 0 also owns the listener and deals accepted
-/// connections round-robin. Completed request lines are dispatched to a
-/// bounded pool of `request_workers` threads through one shared work
-/// queue; responses travel back through per-connection ordered slots, so
-/// each connection sees its responses in request order even though
-/// different connections' requests execute concurrently.
+/// Architecture: one event-loop thread (the caller of `Run`) owns the
+/// listeners and every connection (non-blocking sockets, per-connection
+/// read/write buffers, incremental newline framing). Completed request
+/// lines are dispatched to a bounded pool of `request_workers` threads
+/// through one shared work queue; workers hand completions back through a
+/// mutex-guarded inbox and an eventfd wake, and responses travel back
+/// through per-connection ordered slots, so each connection sees its
+/// responses in request order even though different connections' requests
+/// execute concurrently.
 ///
 /// Per-connection execution is serial — at most one request of a
-/// connection is in flight at a time, exactly like the thread-per-
-/// connection transport it replaces — so pipelined requests on one
+/// connection is in flight at a time — so pipelined requests on one
 /// connection observe each other's effects and every response line is
-/// byte-identical to the blocking transport's.
+/// byte-identical to `Server::HandleLine`'s.
 ///
 /// While an identical `q2` request (same request object, ids aside) is
 /// still waiting in the work queue, later arrivals merge into it: the
@@ -52,7 +51,7 @@ class EventLoop {
   /// transport knobs) for the loop's lifetime; takes ownership of
   /// `listen_fd` (already bound and listening, closed by `Run`).
   /// `metrics_listen_fd` is an already-listening loopback fd serving HTTP
-  /// `GET /metrics` on poller 0, or -1 for none; the loop owns it too.
+  /// `GET /metrics` on the same loop, or -1 for none; the loop owns it too.
   EventLoop(Server* server, int listen_fd, const ServerOptions& options,
             int metrics_listen_fd);
   ~EventLoop();
@@ -62,20 +61,16 @@ class EventLoop {
 
   /// Runs the transport until the server is stopping and every connection
   /// has drained (graceful), or until `HardStop`. Blocks the caller (it
-  /// becomes poller 0).
+  /// runs the event loop).
   Status Run();
 
-  /// Kicks every poller so a stop flag set elsewhere is noticed now
-  /// instead of at the next poll timeout. Async-signal-safe (write(2)).
-  void Wake();
-
   /// Close every connection without waiting for pending responses, then
-  /// unwind `Run`. (Graceful stop is `Server::RequestStop` + `Wake`.)
+  /// unwind `Run`. (Graceful stop is `Server::RequestStop`.)
   void HardStop();
 
  private:
   /// One response slot in a connection's ordered outgoing queue. Workers
-  /// fill `text` then flip `ready`; the owning poller flushes slots
+  /// fill `text` then flip `ready`; the loop thread flushes slots
   /// strictly front to back, so responses keep request order.
   ///
   /// `owner` is the deadline handshake: 0 = unclaimed, 1 = the worker won
@@ -88,7 +83,7 @@ class EventLoop {
     std::atomic<bool> ready{false};
     std::atomic<int> owner{0};
     /// Per-request span, recorded by the worker while it owns the slot and
-    /// finalized by the poller at flush completion — but only when the
+    /// finalized by the loop thread at flush completion — but only when the
     /// worker won the owner CAS (`owner == 1`): after a deadline reap the
     /// worker may still be writing these fields. Embedded by value so
     /// tracing allocates nothing.
@@ -96,11 +91,10 @@ class EventLoop {
     bool has_span = false;
   };
 
-  /// Connection state, owned by exactly one poller thread; workers touch
-  /// only the Response slots.
+  /// Connection state, owned by the loop thread; workers touch only the
+  /// Response slots.
   struct Connection {
     int fd = -1;
-    int poller = 0;
     bool closed = false;
     bool http = false;       // metrics-listener connection (GET /metrics)
     /// Output bytes this connection has contributed to the process-wide
@@ -143,71 +137,72 @@ class EventLoop {
     std::vector<Waiter> waiters;
   };
 
-  struct Poller {
-    int epoll_fd = -1;
-    int wake_fd = -1;  // eventfd
-    std::unordered_map<int, std::shared_ptr<Connection>> conns;
-    // Cross-thread inboxes, drained after every poll round.
-    std::mutex mu;
-    std::vector<std::shared_ptr<Connection>> incoming;
-    std::vector<std::shared_ptr<Connection>> completions;
-  };
-
-  void PollerLoop(int index);
+  void PollerLoop();
+  /// Kicks the loop so a completion or stop flag set on another thread is
+  /// noticed now instead of at the next poll timeout.
+  void Wake();
   void WorkerLoop();
-  void AcceptReady(Poller& p);
-  /// Accepts connections on the metrics listener (poller 0 only).
-  void AcceptMetricsReady(Poller& p);
+  void AcceptReady();
+  /// Accepts connections on the metrics listener.
+  void AcceptMetricsReady();
   /// Parses a complete HTTP request head and queues the response; returns
   /// false when more bytes are needed.
-  bool HandleHttpRequest(Poller& p, const std::shared_ptr<Connection>& conn);
+  bool HandleHttpRequest(const std::shared_ptr<Connection>& conn);
   /// Deadline expiry, idle reaping, parked-listener retry — runs once per
   /// poll tick, and only when one of those features is armed.
-  void Housekeeping(Poller& p, int index);
+  void Housekeeping();
   /// Takes the listener out of epoll after persistent accept failure and
   /// schedules a doubling-backoff retry (no busy-spin on EMFILE).
-  void ParkListener(Poller& p);
-  void AdoptConnection(Poller& p, const std::shared_ptr<Connection>& conn);
-  void ReadReady(Poller& p, const std::shared_ptr<Connection>& conn);
+  void ParkListener();
+  void AdoptConnection(const std::shared_ptr<Connection>& conn);
+  /// Registers `fd` with the loop's epoll set for EPOLLIN.
+  void Watch(int fd);
+  void ReadReady(const std::shared_ptr<Connection>& conn);
   /// Dispatches the connection's head pending line (serial per connection)
   /// and flushes whatever is ready.
-  void DispatchLines(Poller& p, const std::shared_ptr<Connection>& conn);
-  void FlushConnection(Poller& p, const std::shared_ptr<Connection>& conn);
-  void CloseConnection(Poller& p, const std::shared_ptr<Connection>& conn);
-  void UpdateInterest(Poller& p, Connection& conn);
+  void DispatchLines(const std::shared_ptr<Connection>& conn);
+  void FlushConnection(const std::shared_ptr<Connection>& conn);
+  void CloseConnection(const std::shared_ptr<Connection>& conn);
+  void UpdateInterest(Connection& conn);
   void Enqueue(std::shared_ptr<WorkItem> item);
   void Execute(WorkItem& item);
   /// Completes `span` at last-byte-flushed time: flush/total durations,
   /// the request histograms, the global span ring, and (over threshold)
   /// the slow-request log line.
   void FinalizeSpan(RequestSpan& span);
-  /// Hands the completed response back to each waiter's poller.
+  /// Hands the completed response back to the loop thread.
   void Complete(WorkItem& item);
 
   Server* server_;
   int listen_fd_;
   const ServerOptions& options_;
   int metrics_listen_fd_;
-  int num_pollers_ = 1;
   int num_workers_ = 1;
   std::string overload_line_;      // pre-rendered accept-time rejection
   std::string fd_exhausted_line_;  // pre-rendered EMFILE rejection
 
-  std::vector<std::unique_ptr<Poller>> pollers_;
+  int epoll_fd_ = -1;
+  // The eventfd. Atomic because Server::Stop may Wake() from another
+  // thread while Run is still creating it.
+  std::atomic<int> wake_fd_{-1};
+  std::unordered_map<int, std::shared_ptr<Connection>> conns_;
   std::atomic<bool> hard_stop_{false};
-  std::atomic<bool> listener_open_{false};
-  std::atomic<bool> metrics_listener_open_{false};
-  std::atomic<uint64_t> next_poller_{0};  // round-robin connection deal
-
-  // Poller-0 state: the EMFILE reserve fd (closed to free a slot so the
-  // victim can be accepted and told why it is being turned away) and the
-  // parked-listener backoff.
+  // Loop-thread state: whether the listeners are still registered, the
+  // EMFILE reserve fd (closed to free a slot so the victim can be accepted
+  // and told why it is being turned away) and the parked-listener backoff.
+  bool listener_open_ = false;
+  bool metrics_listener_open_ = false;
   int spare_fd_ = -1;
   bool listener_parked_ = false;
   std::chrono::steady_clock::time_point listener_retry_at_{};
   int accept_backoff_ms_ = 0;
 
-  // The shared request-work queue (all pollers feed it, all workers drain
+  // Connections whose executing request finished, handed back by workers
+  // and drained by the loop after every poll round.
+  std::mutex completions_mu_;
+  std::vector<std::shared_ptr<Connection>> completions_;
+
+  // The shared request-work queue (the loop feeds it, all workers drain
   // it) plus the pending-coalesce index over queued-but-unstarted q2 items.
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;

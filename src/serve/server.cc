@@ -233,7 +233,8 @@ Result<JsonValue> Server::Stats(const JsonValue& req) {
   connections.Set("rejected",
                   JsonValue(transport_counters_.rejected_connections.load(
                       std::memory_order_relaxed)));
-  connections.Set("pollers", JsonValue(options_.poller_threads));
+  // One event-loop thread; the field stays so the stats shape is stable.
+  connections.Set("pollers", JsonValue(1));
   // As configured (0 = hardware concurrency), NOT resolved: stats output
   // stays machine-independent, which the scripted smoke diffs rely on.
   connections.Set("request_workers", JsonValue(options_.request_workers));
@@ -443,6 +444,12 @@ void Server::RunStdio(std::istream& in, std::ostream& out) {
 }
 
 Status Server::ServeTcp(int port) {
+  if (port < 0 || port > 65535 || options_.metrics_port > 65535) {
+    bound_port_.store(-2);
+    return Status::InvalidArgument(StrFormat(
+        "TCP ports must be in [0, 65535] (port %d, metrics_port %d)", port,
+        options_.metrics_port));
+  }
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     bound_port_.store(-2);
@@ -516,7 +523,7 @@ Status Server::ServeTcp(int port) {
     serving_ = true;
   }
   // The event loop owns the listener fd from here (it closes it); this
-  // thread becomes poller 0 until the transport winds down.
+  // thread runs the loop until the transport winds down.
   const Status status = loop.Run();
   listen_fd_.store(-1);
   {

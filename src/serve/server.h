@@ -47,19 +47,12 @@ struct ServerOptions {
   /// connections bypass it: observability keeps working under overload.
   /// 0 = unlimited.
   int max_connections = 0;
-  /// Event-loop threads holding the connections (listener + framing +
-  /// response flushing). One poller multiplexes thousands of mostly idle
-  /// connections; add pollers only for framing/flush throughput.
-  int poller_threads = 1;
   /// Threads executing dispatched requests. 0 = hardware concurrency.
   int request_workers = 0;
   /// Request-level admission: dispatched-but-unanswered requests beyond
   /// this bound answer Unavailable immediately instead of queueing. This —
   /// not `max_connections` — is what bounds work in flight. 0 = unlimited.
   int max_inflight = 0;
-  /// Merge identical `q2` requests waiting at the same instant into one
-  /// engine evaluation fanned back to every waiter with its own id.
-  bool coalesce_q2 = true;
   /// Per-request deadline on the TCP transport: a request unanswered this
   /// long after dispatch returns DeadlineExceeded (with its id) and the
   /// worker's late result is discarded whole. The connection survives.
@@ -147,13 +140,14 @@ struct ServerOptions {
 /// every interleaving.
 ///
 /// Transports: `RunStdio` (requests on stdin, responses on stdout) and
-/// `ServeTcp` (loopback listener on an epoll event loop: `poller_threads`
-/// event-loop threads hold the connections and frame lines, a bounded pool
-/// of `request_workers` threads executes requests, and per-connection
-/// ordered response slots keep every connection's responses in request
-/// order and byte-identical to a blocking transport. Admission is
-/// two-level: `max_connections` guards the fd table at accept time,
-/// `max_inflight` bounds dispatched-but-unanswered requests).
+/// `ServeTcp` (loopback listener on an epoll event loop: the calling
+/// thread holds the connections and frames lines, a bounded pool of
+/// `request_workers` threads executes requests, identical queued `q2`
+/// requests merge into one evaluation, and per-connection ordered response
+/// slots keep every connection's responses in request order and
+/// byte-identical to `HandleLine`. Admission is two-level:
+/// `max_connections` guards the fd table at accept time, `max_inflight`
+/// bounds dispatched-but-unanswered requests).
 class Server {
  public:
   explicit Server(ServerOptions options = ServerOptions());
@@ -175,9 +169,10 @@ class Server {
 
   /// Listens on 127.0.0.1:`port` (0 = ephemeral; see `port()`) and blocks
   /// until `Stop()`/`RequestStop()` or a `shutdown` request, running the
-  /// epoll event loop (the caller becomes poller 0). The call returns only
-  /// after every connection has drained (graceful) or been dropped
-  /// (`Stop`).
+  /// epoll event loop on the calling thread. The call returns only after
+  /// every connection has drained (graceful) or been dropped (`Stop`).
+  /// A `port` or `metrics_port` above 65535 (or a negative `port`) is
+  /// InvalidArgument.
   Status ServeTcp(int port);
 
   /// The bound TCP port once `ServeTcp` is listening; -1 before, -2 once

@@ -2,7 +2,8 @@
 // injection: per-request deadlines answer DeadlineExceeded (with the
 // request's id) while the connection survives and the late result is
 // discarded whole; oversized request lines are refused loudly; EMFILE on
-// accept turns the surplus connection away with a structured line; a
+// accept turns the surplus connection away with a structured line, or
+// parks the listener until a backoff retry can accept it; a
 // client resetting mid-response never takes the server down; a stalled
 // reader is paused at the high-water mark and closed at the hard cap;
 // idle connections are reaped; and the test-only fault_inject op is
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -30,6 +32,7 @@ namespace {
 
 using serve_test::LineClient;
 using serve_test::ParseOk;
+using serve_test::ScopedFdLimit;
 
 class ResilienceTest : public ::testing::Test {
  protected:
@@ -167,6 +170,52 @@ TEST_F(ResilienceTest, EmfileOnAcceptTurnsTheConnectionAwayLoudly) {
   Server twin;
   EXPECT_EQ(accepted.Issue("{\"op\":\"ping\",\"id\":9}"),
             twin.HandleLine("{\"op\":\"ping\",\"id\":9}"));
+
+  server.Stop();
+  serving.join();
+}
+
+TEST_F(ResilienceTest, ParkedListenerRetriesAndServesTheWaitingClient) {
+  Server server;
+  std::thread serving = Serve(server);
+  Server twin;
+  const std::string ping = "{\"op\":\"ping\",\"id\":5}";
+  {
+    // The port is published before the loop opens its own descriptors;
+    // an answered ping shows they are open before the table is cut off.
+    LineClient warm(server.port());
+    ASSERT_EQ(warm.Issue(ping), twin.HandleLine(ping));
+  }
+  const std::atomic<uint64_t>& rejected =
+      server.transport_counters().rejected_connections;
+  const uint64_t rejected_before = rejected.load();
+
+  // The client owns its socket before the process runs out of
+  // descriptors. With the soft limit at 0 not even the victim accept that
+  // the freed reserve fd makes room for can succeed, so the loop parks
+  // the listener; the connection waits in the kernel backlog.
+  LineClient client;
+  client.SetReadTimeout(10000);
+  {
+    ScopedFdLimit limit(0);
+    ASSERT_TRUE(limit.ok());
+    ASSERT_TRUE(client.Connect(server.port()));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (rejected.load() == rejected_before &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // The count moves before the victim accept is tried; hold the limit
+    // until that attempt has failed too. The next retry is a full poll
+    // tick (100 ms) away.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  EXPECT_GT(rejected.load(), rejected_before);
+
+  // Descriptors are back: the backoff re-arms the listener, and the same
+  // client — never turned away — gets normal service.
+  EXPECT_EQ(client.Issue(ping), twin.HandleLine(ping));
 
   server.Stop();
   serving.join();

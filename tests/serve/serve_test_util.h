@@ -1,11 +1,13 @@
 // Shared plumbing for the serve-layer tests: a blocking line-protocol TCP
-// client and small JSON response helpers.
+// client, a scoped descriptor-limit guard and small JSON response helpers.
 
 #ifndef CPCLEAN_TESTS_SERVE_SERVE_TEST_UTIL_H_
 #define CPCLEAN_TESTS_SERVE_SERVE_TEST_UTIL_H_
 
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -22,8 +24,14 @@ namespace serve_test {
 /// A synchronous line-protocol client over one loopback TCP connection.
 class LineClient {
  public:
-  explicit LineClient(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  /// Opens the socket only; `Connect` dials (tests that must own the
+  /// descriptor before the process runs out of them).
+  LineClient() : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {}
+  explicit LineClient(int port) : LineClient() { Connect(port); }
+  ~LineClient() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  bool Connect(int port) {
     sockaddr_in addr;
     std::memset(&addr, 0, sizeof(addr));
     addr.sin_family = AF_INET;
@@ -31,11 +39,18 @@ class LineClient {
     addr.sin_port = htons(static_cast<uint16_t>(port));
     connected_ = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
                            sizeof(addr)) == 0;
-  }
-  ~LineClient() {
-    if (fd_ >= 0) ::close(fd_);
+    return connected_;
   }
   bool connected() const { return connected_; }
+
+  /// Bounds every later ReadLine wait (a read that times out returns ""),
+  /// so a server that never answers fails the test instead of hanging it.
+  void SetReadTimeout(int ms) {
+    timeval tv{};
+    tv.tv_sec = ms / 1000;
+    tv.tv_usec = (ms % 1000) * 1000;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
 
   /// Reads one response line without sending anything first (e.g. the
   /// admission-control rejection pushed by the server on accept). Returns
@@ -87,6 +102,34 @@ class LineClient {
   int fd_ = -1;
   bool connected_ = false;
   std::string buffer_;
+};
+
+/// Lowers the soft RLIMIT_NOFILE to `soft` for the scope; the destructor
+/// restores it, so a failed assertion inside the scope cannot starve the
+/// tests after it of descriptors.
+class ScopedFdLimit {
+ public:
+  explicit ScopedFdLimit(rlim_t soft) {
+    saved_ok_ = ::getrlimit(RLIMIT_NOFILE, &saved_) == 0;
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    ok_ = saved_ok_ && soft <= saved_.rlim_cur &&
+          ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+  }
+  ~ScopedFdLimit() { Restore(); }
+  ScopedFdLimit(const ScopedFdLimit&) = delete;
+  ScopedFdLimit& operator=(const ScopedFdLimit&) = delete;
+
+  bool ok() const { return ok_; }
+  void Restore() {
+    if (saved_ok_) ::setrlimit(RLIMIT_NOFILE, &saved_);
+    saved_ok_ = false;
+  }
+
+ private:
+  rlimit saved_{};
+  bool saved_ok_ = false;
+  bool ok_ = false;
 };
 
 /// Parses a response line, asserts ok:true, and returns its result object

@@ -1,17 +1,22 @@
 // The epoll transport's contract: responses byte-identical to the line
 // protocol's canonical rendering (Server::HandleLine) under partial
 // writes, pipelining, and concurrent connections; thousands of idle
-// connections held without threads; request-level admission control; and
-// identical q2 requests coalescing into one evaluation under load.
+// connections held without threads; request-level admission control;
+// identical q2 requests coalescing into one evaluation under load; out-of-
+// range ports refused; and a setup failure that leaks no descriptor.
 
+#include <dirent.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -26,6 +31,7 @@ namespace {
 
 using serve_test::LineClient;
 using serve_test::ParseOk;
+using serve_test::ScopedFdLimit;
 
 std::string CreateRequest(const std::string& name, int train_rows) {
   return StrFormat(
@@ -50,6 +56,57 @@ std::thread Serve(Server& server) {
   }
   EXPECT_GE(server.port(), 0);
   return serving;
+}
+
+/// Runs `server.ServeTcp(port)`, expected to fail before it serves. A call
+/// that is still running after two seconds is serving: it is stopped and
+/// reported as Internal, so a regression fails the test instead of
+/// hanging it.
+Status ServeTcpExpectingFailure(Server& server, int port) {
+  Status status;
+  std::atomic<bool> done{false};
+  std::thread serving([&] {
+    status = server.ServeTcp(port);
+    done.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool served = !done.load();
+  if (served) server.Stop();
+  serving.join();
+  return served ? Status::Internal("ServeTcp started serving") : status;
+}
+
+/// The process's open descriptors, ascending (the listing's own aside).
+std::vector<int> OpenFds() {
+  std::vector<int> fds;
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return fds;
+  const int own = ::dirfd(dir);
+  while (const dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] == '.') continue;
+    const int fd = std::atoi(entry->d_name);
+    if (fd != own) fds.push_back(fd);
+  }
+  ::closedir(dir);
+  std::sort(fds.begin(), fds.end());
+  return fds;
+}
+
+/// The soft descriptor limit under which exactly `room` more descriptors
+/// can open beside `open` (the kernel hands out the lowest free number
+/// below the limit). For a dense table that is `open.size() + room`.
+rlim_t LimitLeavingRoom(const std::vector<int>& open, int room) {
+  int fd = 0;
+  for (int left = room;; ++fd) {
+    if (!std::binary_search(open.begin(), open.end(), fd) && --left == 0) {
+      break;
+    }
+  }
+  return static_cast<rlim_t>(fd + 1);
 }
 
 TEST(TransportTest, PartialWritesFrameExactlyLikeHandleLine) {
@@ -308,6 +365,46 @@ TEST(TransportTest, InflightLimitRejectsWithStructuredError) {
 
   server.Stop();
   serving.join();
+}
+
+TEST(TransportTest, OutOfRangePortsAreInvalidArguments) {
+  // htons would silently wrap 70000 to port 4464; the transport refuses it
+  // instead, before it binds anything.
+  for (const int port : {-1, 65536, 70000}) {
+    Server server;
+    const Status status = ServeTcpExpectingFailure(server, port);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << port << ": " << status.ToString();
+    EXPECT_EQ(server.port(), -2) << port;
+  }
+  ServerOptions options;
+  options.metrics_port = 70000;
+  Server server(options);
+  const Status status = ServeTcpExpectingFailure(server, 0);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_EQ(server.port(), -2);
+}
+
+TEST(TransportTest, EventLoopSetupFailureLeaksNoDescriptor) {
+  // ServeTcp opens four descriptors: the listener, the EMFILE reserve, the
+  // epoll fd and the eventfd. With room for only one, two or three of
+  // them it fails with IoError and closes every one it did open.
+  const std::vector<int> before = OpenFds();
+  ASSERT_FALSE(before.empty());
+  for (int room = 1; room <= 3; ++room) {
+    ServerOptions options;
+    options.request_workers = 1;
+    Server server(options);
+    Status status;
+    {
+      ScopedFdLimit limit(LimitLeavingRoom(before, room));
+      ASSERT_TRUE(limit.ok()) << "room " << room;
+      status = ServeTcpExpectingFailure(server, 0);
+    }
+    EXPECT_EQ(status.code(), StatusCode::kIoError)
+        << "room " << room << ": " << status.ToString();
+    EXPECT_EQ(OpenFds(), before) << "room " << room;
+  }
 }
 
 }  // namespace
