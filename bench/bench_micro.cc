@@ -7,39 +7,14 @@
 #include "common/rng.h"
 #include "core/support_tree.h"
 #include "data/csv.h"
-#include "knn/kernel.h"
 #include "knn/kernel_simd.h"
 #include "knn/top_k.h"
 
 namespace cpclean {
 namespace {
 
-void BM_KernelNegEuclidean(benchmark::State& state) {
-  Rng rng(1);
-  const int d = static_cast<int>(state.range(0));
-  std::vector<double> a(static_cast<size_t>(d)), b(static_cast<size_t>(d));
-  for (auto& v : a) v = rng.NextDouble();
-  for (auto& v : b) v = rng.NextDouble();
-  NegativeEuclideanKernel kernel;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernel.Similarity(a, b));
-  }
-}
-BENCHMARK(BM_KernelNegEuclidean)->Arg(8)->Arg(64)->Arg(512);
-
-void BM_KernelRbf(benchmark::State& state) {
-  Rng rng(1);
-  std::vector<double> a(64), b(64);
-  for (auto& v : a) v = rng.NextDouble();
-  for (auto& v : b) v = rng.NextDouble();
-  RbfKernel kernel(0.7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernel.Similarity(a, b));
-  }
-}
-BENCHMARK(BM_KernelRbf);
-
-// One batched neg-Euclidean scan per dispatch level, pinned via
+// One batched neg-Euclidean scan per dispatch level — the table entry every
+// production scorer reaches, with cached row norms — pinned via
 // TableForLevel (not the env override), so a single run records the
 // per-ISA trajectory side by side in BENCH_micro.json. Levels the host or
 // binary lacks are skipped loudly. Outputs are bit-identical across
@@ -56,11 +31,19 @@ void BM_SimilarityBatch_Dispatch(benchmark::State& state) {
   Rng rng(6);
   std::vector<double> rows(static_cast<size_t>(n) * dim);
   std::vector<double> t(static_cast<size_t>(dim));
+  std::vector<double> norms(static_cast<size_t>(n));
   for (auto& v : rows) v = rng.NextDouble(-2, 2);
   for (auto& v : t) v = rng.NextDouble(-2, 2);
+  for (int r = 0; r < n; ++r) {
+    for (int d = 0; d < dim; ++d) {
+      const double v = rows[static_cast<size_t>(r) * dim + d];
+      norms[static_cast<size_t>(r)] += v * v;
+    }
+  }
   std::vector<double> out(static_cast<size_t>(n));
   for (auto _ : state) {
-    table->neg_euclidean(rows.data(), n, dim, t.data(), out.data());
+    table->neg_euclidean(rows.data(), norms.data(), n, dim, t.data(),
+                         out.data());
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }

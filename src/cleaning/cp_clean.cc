@@ -410,7 +410,7 @@ void CleaningSession::CleanExample(int i) {
       const int v = table.points[r];
       if (val_certain_[static_cast<size_t>(v)]) continue;  // never scored again
       // The same per-row kernel arithmetic as FastQ2::SetTestPoint.
-      kernel_->SimilarityBatchNorms(
+      kernel_->SimilarityBatch(
           working_.candidate_ptr(i, 0), working_.flat_sq_norms() + first, m,
           working_.dim(), task_->val_x[static_cast<size_t>(v)].data(),
           sims.data());

@@ -17,9 +17,8 @@ int SimilarityScores(const IncompleteDataset& dataset,
     const int total = dataset.total_candidates();
     if (!dataset.file_backed()) {
       // No retired rows: the whole slab is one contiguous batch.
-      kernel.SimilarityBatchNorms(dataset.flat_data(),
-                                  dataset.flat_sq_norms(), total, dim,
-                                  t.data(), out);
+      kernel.SimilarityBatch(dataset.flat_data(), dataset.flat_sq_norms(),
+                             total, dim, t.data(), out);
       return total;
     }
     // File-backed slab: stream it through a bounded prefetched window,
@@ -34,7 +33,7 @@ int SimilarityScores(const IncompleteDataset& dataset,
     for (int base = 0; base < total; base += block) {
       const int count = std::min(block, total - base);
       dataset.PrefetchFlatRows(base + count, block);
-      kernel.SimilarityBatchNorms(
+      kernel.SimilarityBatch(
           dataset.flat_data() + static_cast<size_t>(base) * dim,
           dataset.flat_sq_norms() + base, count, dim, t.data(), out + base);
     }
@@ -44,7 +43,7 @@ int SimilarityScores(const IncompleteDataset& dataset,
   for (int i = 0; i < n; ++i) {
     const int m = dataset.num_candidates(i);
     const int row = dataset.flat_row(i, 0);
-    kernel.SimilarityBatchNorms(
+    kernel.SimilarityBatch(
         dataset.flat_data() + static_cast<size_t>(row) * dim,
         dataset.flat_sq_norms() + row, m, dim, t.data(), out + written);
     written += m;

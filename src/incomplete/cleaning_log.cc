@@ -21,28 +21,41 @@ namespace {
 
 constexpr char kLogMagic[] = "cpclean-log-v1";
 
-Result<uint64_t> ParseUint64(const std::string& text, int base) {
+Result<uint64_t> ParseUint64(const std::string& text) {
   if (text.empty()) return Status::ParseError("empty integer");
   errno = 0;
   char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, base);
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
   if (errno != 0 || end != text.c_str() + text.size()) {
     return Status::ParseError("bad integer: " + text);
   }
   return static_cast<uint64_t>(value);
 }
 
+/// The record's body as EncodeLogRecord writes it.
+std::string FixBody(const MutationRecord& record) {
+  return StrFormat("fix %llu %d %d",
+                   static_cast<unsigned long long>(record.seq),
+                   record.example, record.candidate);
+}
+
+/// The checksum field of a record line: 16 lower-case hex digits.
+std::string ChecksumHex(const std::string& body) {
+  return StrFormat("%016llx", static_cast<unsigned long long>(Fnv1a64(body)));
+}
+
 /// The body of a `<body> #<fnv hex>` line whose checksum verifies. A
-/// failure here is what a torn append leaves behind.
+/// failure here is what a torn append leaves behind. The checksum must be
+/// spelled exactly as EncodeLogRecord writes it (parsing it as a number
+/// would also take upper-case digits, a sign or leading blanks), so every
+/// accepted line is the one encoding of its record.
 Result<std::string> VerifiedBody(const std::string& line) {
   const size_t hash = line.rfind(" #");
   if (hash == std::string::npos || line.size() != hash + 18) {
     return Status::ParseError("log record missing checksum: " + line);
   }
   std::string body = line.substr(0, hash);
-  CP_ASSIGN_OR_RETURN(const uint64_t crc,
-                      ParseUint64(line.substr(hash + 2), 16));
-  if (crc != Fnv1a64(body)) {
+  if (line.compare(hash + 2, 16, ChecksumHex(body)) != 0) {
     return Status::ParseError("log record checksum mismatch: " + line);
   }
   return body;
@@ -54,20 +67,22 @@ Result<MutationRecord> ParseFixBody(const std::string& body) {
     return Status::ParseError("not a fix record: " + body);
   }
   MutationRecord record;
-  CP_ASSIGN_OR_RETURN(record.seq, ParseUint64(fields[1], 10));
+  CP_ASSIGN_OR_RETURN(record.seq, ParseUint64(fields[1]));
   CP_ASSIGN_OR_RETURN(record.example, ParseInt(fields[2]));
   CP_ASSIGN_OR_RETURN(record.candidate, ParseInt(fields[3]));
+  // The number parsers take signs, blanks and leading zeros; only the one
+  // spelling EncodeLogRecord writes is a record.
+  if (FixBody(record) != body) {
+    return Status::ParseError("non-canonical fix record: " + body);
+  }
   return record;
 }
 
 }  // namespace
 
 std::string EncodeLogRecord(const MutationRecord& record) {
-  const std::string body =
-      StrFormat("fix %llu %d %d", static_cast<unsigned long long>(record.seq),
-                record.example, record.candidate);
-  return body + StrFormat(" #%016llx",
-                          static_cast<unsigned long long>(Fnv1a64(body)));
+  const std::string body = FixBody(record);
+  return body + " #" + ChecksumHex(body);
 }
 
 Result<MutationRecord> DecodeLogRecord(const std::string& line) {

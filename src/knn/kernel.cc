@@ -1,124 +1,37 @@
 #include "knn/kernel.h"
 
-#include <cmath>
-
-#include "common/logging.h"
 #include "knn/kernel_simd.h"
 
-// The batched entry points dispatch through simd::ActiveTable() — the
+// Each kernel is one indirect call into simd::ActiveTable(): the
 // runtime-selected scalar/AVX2/AVX-512 implementations, bit-identical
 // across levels (see kernel_simd.h for the shared accumulation shape).
-// The per-pair SimilarityRaw paths use the same lane-structured scalar
-// helpers, so raw-vs-batch agreement is exact, not ulp-approximate.
 
 namespace cpclean {
 
-double SimilarityKernel::Similarity(const std::vector<double>& a,
-                                    const std::vector<double>& b) const {
-  CP_CHECK_EQ(a.size(), b.size());
-  return SimilarityRaw(a.data(), b.data(), static_cast<int>(a.size()));
-}
-
-void SimilarityKernel::SimilarityBatch(const double* rows, int n, int dim,
-                                       const double* t, double* out) const {
-  for (int r = 0; r < n; ++r) {
-    out[r] = SimilarityRaw(rows + static_cast<size_t>(r) * dim, t, dim);
-  }
-}
-
-void SimilarityKernel::SimilarityBatchNorms(const double* rows,
-                                            const double* row_sq_norms, int n,
-                                            int dim, const double* t,
-                                            double* out) const {
-  (void)row_sq_norms;
-  SimilarityBatch(rows, n, dim, t, out);
-}
-
-// --- Negative squared Euclidean ---------------------------------------------
-
-double NegativeEuclideanKernel::SimilarityRaw(const double* a, const double* b,
-                                              int dim) const {
-  return -simd::LaneSqDist(a, b, dim);
-}
-
-void NegativeEuclideanKernel::SimilarityBatch(const double* rows, int n,
-                                              int dim, const double* t,
+void NegativeEuclideanKernel::SimilarityBatch(const double* rows,
+                                              const double* row_sq_norms,
+                                              int n, int dim, const double* t,
                                               double* out) const {
-  simd::ActiveTable().neg_euclidean(rows, n, dim, t, out);
+  simd::ActiveTable().neg_euclidean(rows, row_sq_norms, n, dim, t, out);
 }
 
-void NegativeEuclideanKernel::SimilarityBatchNorms(const double* rows,
-                                                   const double* row_sq_norms,
-                                                   int n, int dim,
-                                                   const double* t,
-                                                   double* out) const {
-  if (row_sq_norms == nullptr) {
-    SimilarityBatch(rows, n, dim, t, out);
-    return;
-  }
-  simd::ActiveTable().neg_euclidean_norms(rows, row_sq_norms, n, dim, t, out);
-}
-
-// --- RBF --------------------------------------------------------------------
-
-double RbfKernel::SimilarityRaw(const double* a, const double* b,
-                                int dim) const {
-  return std::exp(-gamma_ * simd::LaneSqDist(a, b, dim));
-}
-
-void RbfKernel::SimilarityBatch(const double* rows, int n, int dim,
+void RbfKernel::SimilarityBatch(const double* rows,
+                                const double* row_sq_norms, int n, int dim,
                                 const double* t, double* out) const {
-  simd::ActiveTable().rbf(rows, n, dim, t, gamma_, out);
+  simd::ActiveTable().rbf(rows, row_sq_norms, n, dim, t, gamma_, out);
 }
 
-void RbfKernel::SimilarityBatchNorms(const double* rows,
-                                     const double* row_sq_norms, int n,
-                                     int dim, const double* t,
-                                     double* out) const {
-  if (row_sq_norms == nullptr) {
-    SimilarityBatch(rows, n, dim, t, out);
-    return;
-  }
-  simd::ActiveTable().rbf_norms(rows, row_sq_norms, n, dim, t, gamma_, out);
-}
-
-// --- Linear -----------------------------------------------------------------
-
-double LinearKernel::SimilarityRaw(const double* a, const double* b,
-                                   int dim) const {
-  return simd::LaneDot(a, b, dim);
-}
-
-void LinearKernel::SimilarityBatch(const double* rows, int n, int dim,
-                                   const double* t, double* out) const {
+void LinearKernel::SimilarityBatch(const double* rows,
+                                   const double* /*row_sq_norms*/, int n,
+                                   int dim, const double* t,
+                                   double* out) const {
   simd::ActiveTable().linear(rows, n, dim, t, out);
 }
 
-// --- Cosine -----------------------------------------------------------------
-
-double CosineKernel::SimilarityRaw(const double* a, const double* b,
-                                   int dim) const {
-  double dot = 0.0, na = 0.0;
-  simd::LaneDotNorm(a, b, dim, &dot, &na);
-  const double nb = simd::LaneDot(b, b, dim);
-  if (na <= 0.0 || nb <= 0.0) return 0.0;
-  return dot / std::sqrt(na * nb);
-}
-
-void CosineKernel::SimilarityBatch(const double* rows, int n, int dim,
+void CosineKernel::SimilarityBatch(const double* rows,
+                                   const double* row_sq_norms, int n, int dim,
                                    const double* t, double* out) const {
-  simd::ActiveTable().cosine(rows, n, dim, t, out);
-}
-
-void CosineKernel::SimilarityBatchNorms(const double* rows,
-                                        const double* row_sq_norms, int n,
-                                        int dim, const double* t,
-                                        double* out) const {
-  if (row_sq_norms == nullptr) {
-    SimilarityBatch(rows, n, dim, t, out);
-    return;
-  }
-  simd::ActiveTable().cosine_norms(rows, row_sq_norms, n, dim, t, out);
+  simd::ActiveTable().cosine(rows, row_sq_norms, n, dim, t, out);
 }
 
 std::unique_ptr<SimilarityKernel> MakeKernel(KernelKind kind, double gamma) {

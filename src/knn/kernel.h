@@ -3,56 +3,33 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace cpclean {
 
 /// Similarity kernel κ(x, t) between feature vectors (paper §3, Fig. 5).
 /// Larger values mean "more similar"; KNN takes the top-K by similarity.
 ///
-/// Batch contract: `SimilarityBatch(rows, n, dim, t, out)` scores `n`
-/// row-major contiguous rows (`rows[r*dim .. r*dim+dim)`) against one test
-/// point and writes `out[r]`, with no virtual dispatch, allocation, or
-/// bounds checks inside the loop. The built-in kernels route the batch
-/// through the runtime-dispatched scalar/AVX2/AVX-512 implementations in
-/// knn/kernel_simd.h — every dispatch level returns **bit-identical**
-/// doubles (all levels share one fixed 8-lane accumulation shape), and the
-/// per-pair `SimilarityRaw` uses the same shape, so raw-vs-batch agreement
-/// is exact too. `SimilarityBatchNorms` additionally takes the cached
-/// squared L2 norm of every row (as maintained by
-/// `IncompleteDataset::flat_sq_norms()`); kernels that can exploit it —
-/// neg-Euclidean and RBF via ||a - t||² = ||a||² - 2⟨a,t⟩ + ||t||², cosine
-/// via its denominator — override it, the rest fall back to
-/// `SimilarityBatch`. The norm expansion reassociates, so norm-accelerated
-/// scores may differ from the plain path by ulps — but identically so on
-/// every dispatch level, and every scorer in this repo — the CP engines
-/// *and* KnnClassifier — goes through the same norm-accelerated entry
-/// points, so certified labels and actual predictions always agree
-/// exactly.
+/// One scoring entry: `SimilarityBatch(rows, row_sq_norms, n, dim, t, out)`
+/// scores `n` row-major contiguous rows (`rows[r*dim .. r*dim+dim)`) against
+/// one test point and writes `out[r]`, with no virtual dispatch, allocation,
+/// or bounds checks inside the loop. `row_sq_norms[r]` is the cached squared
+/// L2 norm of row `r` (as maintained by `IncompleteDataset::flat_sq_norms()`)
+/// and is required whenever `n > 0`: neg-Euclidean and RBF expand
+/// ||a - t||² = ||a||² - 2⟨a,t⟩ + ||t||², cosine takes ||a||² as its
+/// denominator, and linear ignores it. Each kernel routes through one entry
+/// of the runtime-dispatched scalar/AVX2/AVX-512 table in knn/kernel_simd.h,
+/// and every dispatch level returns **bit-identical** doubles. Every scorer
+/// in this repo — the CP engines, the cleaning selection *and*
+/// KnnClassifier — calls this one entry, so certified labels and actual
+/// predictions always agree exactly.
 class SimilarityKernel {
  public:
   virtual ~SimilarityKernel() = default;
 
-  /// Scalar similarity on raw pointers (`dim` doubles each).
-  virtual double SimilarityRaw(const double* a, const double* b,
-                               int dim) const = 0;
-
-  /// Similarity between two equal-length vectors.
-  virtual double Similarity(const std::vector<double>& a,
-                            const std::vector<double>& b) const;
-
-  /// Scores `n` contiguous rows against `t`; see the batch contract above.
-  /// The default loops `SimilarityRaw`; every built-in kernel overrides it
-  /// with a fused, vectorizable loop free of per-row virtual dispatch.
-  virtual void SimilarityBatch(const double* rows, int n, int dim,
-                               const double* t, double* out) const;
-
-  /// `SimilarityBatch` with cached per-row squared norms. `row_sq_norms`
-  /// may be null, in which case this forwards to `SimilarityBatch`.
-  virtual void SimilarityBatchNorms(const double* rows,
-                                    const double* row_sq_norms, int n,
-                                    int dim, const double* t,
-                                    double* out) const;
+  /// Scores `n` contiguous rows against `t`; see the contract above.
+  virtual void SimilarityBatch(const double* rows, const double* row_sq_norms,
+                               int n, int dim, const double* t,
+                               double* out) const = 0;
 
   /// Kernel name for reporting.
   virtual std::string name() const = 0;
@@ -63,13 +40,8 @@ class SimilarityKernel {
 /// any monotone transform such as RBF.
 class NegativeEuclideanKernel final : public SimilarityKernel {
  public:
-  double SimilarityRaw(const double* a, const double* b,
-                       int dim) const override;
-  void SimilarityBatch(const double* rows, int n, int dim, const double* t,
-                       double* out) const override;
-  void SimilarityBatchNorms(const double* rows, const double* row_sq_norms,
-                            int n, int dim, const double* t,
-                            double* out) const override;
+  void SimilarityBatch(const double* rows, const double* row_sq_norms, int n,
+                       int dim, const double* t, double* out) const override;
   std::string name() const override { return "neg_euclidean"; }
 };
 
@@ -77,13 +49,8 @@ class NegativeEuclideanKernel final : public SimilarityKernel {
 class RbfKernel final : public SimilarityKernel {
  public:
   explicit RbfKernel(double gamma = 1.0) : gamma_(gamma) {}
-  double SimilarityRaw(const double* a, const double* b,
-                       int dim) const override;
-  void SimilarityBatch(const double* rows, int n, int dim, const double* t,
-                       double* out) const override;
-  void SimilarityBatchNorms(const double* rows, const double* row_sq_norms,
-                            int n, int dim, const double* t,
-                            double* out) const override;
+  void SimilarityBatch(const double* rows, const double* row_sq_norms, int n,
+                       int dim, const double* t, double* out) const override;
   std::string name() const override { return "rbf"; }
   double gamma() const { return gamma_; }
 
@@ -94,23 +61,16 @@ class RbfKernel final : public SimilarityKernel {
 /// Linear kernel <a, b>.
 class LinearKernel final : public SimilarityKernel {
  public:
-  double SimilarityRaw(const double* a, const double* b,
-                       int dim) const override;
-  void SimilarityBatch(const double* rows, int n, int dim, const double* t,
-                       double* out) const override;
+  void SimilarityBatch(const double* rows, const double* row_sq_norms, int n,
+                       int dim, const double* t, double* out) const override;
   std::string name() const override { return "linear"; }
 };
 
 /// Cosine similarity <a,b> / (||a|| ||b||); 0 when either vector is zero.
 class CosineKernel final : public SimilarityKernel {
  public:
-  double SimilarityRaw(const double* a, const double* b,
-                       int dim) const override;
-  void SimilarityBatch(const double* rows, int n, int dim, const double* t,
-                       double* out) const override;
-  void SimilarityBatchNorms(const double* rows, const double* row_sq_norms,
-                            int n, int dim, const double* t,
-                            double* out) const override;
+  void SimilarityBatch(const double* rows, const double* row_sq_norms, int n,
+                       int dim, const double* t, double* out) const override;
   std::string name() const override { return "cosine"; }
 };
 

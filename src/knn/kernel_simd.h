@@ -1,18 +1,17 @@
 #ifndef CPCLEAN_KNN_KERNEL_SIMD_H_
 #define CPCLEAN_KNN_KERNEL_SIMD_H_
 
-#include <cstddef>
-
 #include "common/cpu_features.h"
 
 namespace cpclean {
 namespace simd {
 
-/// Per-ISA implementations of the four kernels' batched entry points,
-/// selected once per process into a function-pointer table.
+/// Per-ISA implementations of the four kernels' batched entries, one per
+/// kernel, selected once per process into a function-pointer table.
 ///
 /// Bit-identity contract: every level produces **bit-identical doubles**.
-/// All implementations — the scalar reference included — accumulate in the
+/// Each backend supplies one row primitive, the dot product, and every
+/// implementation — the scalar reference included — accumulates it in the
 /// same fixed 8-lane shape: lane `d % 8` owns element `d`'s contribution
 /// (full 8-wide blocks vectorize directly; the <8 remainder accumulates
 /// scalar into the same lanes), and one canonical reduction tree
@@ -30,27 +29,24 @@ namespace simd {
 /// levels: FastQ2, certification, replay verification, and the serve
 /// layer's version-stamped caches never observe which path ran.
 ///
-/// RBF's `exp` and cosine's `sqrt`/zero-guard run as scalar per-row sweeps
-/// over the accumulated values in every implementation, so the one libm in
-/// the process keeps those transcendentals identical too.
+/// The norm expansion, RBF's `exp` and cosine's `sqrt`/zero-guard run as
+/// scalar per-row arithmetic shared by every implementation
+/// (knn/kernel_simd_body.h), so the one libm in the process keeps those
+/// transcendentals identical too.
 struct KernelBatchTable {
   SimdLevel level;
-  void (*neg_euclidean)(const double* rows, int n, int dim, const double* t,
-                        double* out);
-  /// `row_sq_norms` must be non-null (the public kernel API forwards null
-  /// to the plain batch before dispatching).
-  void (*neg_euclidean_norms)(const double* rows, const double* row_sq_norms,
-                              int n, int dim, const double* t, double* out);
-  void (*rbf)(const double* rows, int n, int dim, const double* t,
-              double gamma, double* out);
-  void (*rbf_norms)(const double* rows, const double* row_sq_norms, int n,
-                    int dim, const double* t, double gamma, double* out);
+  /// -||a - t||² from the cached squared row norms.
+  void (*neg_euclidean)(const double* rows, const double* row_sq_norms, int n,
+                        int dim, const double* t, double* out);
+  /// exp(-gamma ||a - t||²) from the cached squared row norms.
+  void (*rbf)(const double* rows, const double* row_sq_norms, int n, int dim,
+              const double* t, double gamma, double* out);
+  /// <a, t>; needs no norms.
   void (*linear)(const double* rows, int n, int dim, const double* t,
                  double* out);
-  void (*cosine)(const double* rows, int n, int dim, const double* t,
-                 double* out);
-  void (*cosine_norms)(const double* rows, const double* row_sq_norms, int n,
-                       int dim, const double* t, double* out);
+  /// <a, t> / (||a|| ||t||) from the cached squared row norms.
+  void (*cosine)(const double* rows, const double* row_sq_norms, int n,
+                 int dim, const double* t, double* out);
 };
 
 /// The table for `level`, or nullptr when this binary has no translation
@@ -71,64 +67,13 @@ const KernelBatchTable& ActiveTable();
 /// The level `ActiveTable` resolved to, for `stats` / bench reporting.
 SimdLevel ActiveSimdLevel();
 
-// --- The canonical lane-structured scalar shape ------------------------------
-//
-// Inline so `SimilarityRaw` (the per-pair scalar path) shares the exact
-// accumulation shape with the batched paths: scalar-vs-batch stays
-// bit-identical, which the kernel tests assert with EXPECT_DOUBLE_EQ.
-
+/// The canonical reduction tree every backend collapses its 8 lanes with.
 inline double LaneReduce(const double lanes[8]) {
   const double t0 = lanes[0] + lanes[4];
   const double t1 = lanes[1] + lanes[5];
   const double t2 = lanes[2] + lanes[6];
   const double t3 = lanes[3] + lanes[7];
   return (t0 + t2) + (t1 + t3);
-}
-
-inline double LaneSqDist(const double* a, const double* b, int dim) {
-  double lanes[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  const int blocks = dim & ~7;
-  for (int d = 0; d < blocks; d += 8) {
-    for (int l = 0; l < 8; ++l) {
-      const double diff = a[d + l] - b[d + l];
-      lanes[l] += diff * diff;
-    }
-  }
-  for (int d = blocks; d < dim; ++d) {
-    const double diff = a[d] - b[d];
-    lanes[d & 7] += diff * diff;
-  }
-  return LaneReduce(lanes);
-}
-
-inline double LaneDot(const double* a, const double* b, int dim) {
-  double lanes[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  const int blocks = dim & ~7;
-  for (int d = 0; d < blocks; d += 8) {
-    for (int l = 0; l < 8; ++l) lanes[l] += a[d + l] * b[d + l];
-  }
-  for (int d = blocks; d < dim; ++d) lanes[d & 7] += a[d] * b[d];
-  return LaneReduce(lanes);
-}
-
-/// Fused dot + squared norm of `a` (cosine's per-row pair).
-inline void LaneDotNorm(const double* a, const double* b, int dim,
-                        double* dot, double* a_sq_norm) {
-  double dot_lanes[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  double norm_lanes[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  const int blocks = dim & ~7;
-  for (int d = 0; d < blocks; d += 8) {
-    for (int l = 0; l < 8; ++l) {
-      dot_lanes[l] += a[d + l] * b[d + l];
-      norm_lanes[l] += a[d + l] * a[d + l];
-    }
-  }
-  for (int d = blocks; d < dim; ++d) {
-    dot_lanes[d & 7] += a[d] * b[d];
-    norm_lanes[d & 7] += a[d] * a[d];
-  }
-  *dot = LaneReduce(dot_lanes);
-  *a_sq_norm = LaneReduce(norm_lanes);
 }
 
 namespace internal {

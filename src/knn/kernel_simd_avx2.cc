@@ -22,28 +22,6 @@ namespace simd {
 namespace {
 
 struct Avx2Backend {
-  static double SqDist(const double* a, const double* b, int dim) {
-    __m256d acc_lo = _mm256_setzero_pd();
-    __m256d acc_hi = _mm256_setzero_pd();
-    const int blocks = dim & ~7;
-    for (int d = 0; d < blocks; d += 8) {
-      const __m256d diff_lo =
-          _mm256_sub_pd(_mm256_loadu_pd(a + d), _mm256_loadu_pd(b + d));
-      const __m256d diff_hi = _mm256_sub_pd(_mm256_loadu_pd(a + d + 4),
-                                            _mm256_loadu_pd(b + d + 4));
-      acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(diff_lo, diff_lo));
-      acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(diff_hi, diff_hi));
-    }
-    alignas(32) double lanes[8];
-    _mm256_store_pd(lanes, acc_lo);
-    _mm256_store_pd(lanes + 4, acc_hi);
-    for (int d = blocks; d < dim; ++d) {
-      const double diff = a[d] - b[d];
-      lanes[d & 7] += diff * diff;
-    }
-    return LaneReduce(lanes);
-  }
-
   static double Dot(const double* a, const double* b, int dim) {
     __m256d acc_lo = _mm256_setzero_pd();
     __m256d acc_hi = _mm256_setzero_pd();
@@ -62,37 +40,6 @@ struct Avx2Backend {
     for (int d = blocks; d < dim; ++d) lanes[d & 7] += a[d] * b[d];
     return LaneReduce(lanes);
   }
-
-  static void DotNorm(const double* a, const double* b, int dim, double* dot,
-                      double* a_sq_norm) {
-    __m256d dot_lo = _mm256_setzero_pd();
-    __m256d dot_hi = _mm256_setzero_pd();
-    __m256d norm_lo = _mm256_setzero_pd();
-    __m256d norm_hi = _mm256_setzero_pd();
-    const int blocks = dim & ~7;
-    for (int d = 0; d < blocks; d += 8) {
-      const __m256d a_lo = _mm256_loadu_pd(a + d);
-      const __m256d a_hi = _mm256_loadu_pd(a + d + 4);
-      dot_lo = _mm256_add_pd(dot_lo,
-                             _mm256_mul_pd(a_lo, _mm256_loadu_pd(b + d)));
-      dot_hi = _mm256_add_pd(
-          dot_hi, _mm256_mul_pd(a_hi, _mm256_loadu_pd(b + d + 4)));
-      norm_lo = _mm256_add_pd(norm_lo, _mm256_mul_pd(a_lo, a_lo));
-      norm_hi = _mm256_add_pd(norm_hi, _mm256_mul_pd(a_hi, a_hi));
-    }
-    alignas(32) double dot_lanes[8];
-    alignas(32) double norm_lanes[8];
-    _mm256_store_pd(dot_lanes, dot_lo);
-    _mm256_store_pd(dot_lanes + 4, dot_hi);
-    _mm256_store_pd(norm_lanes, norm_lo);
-    _mm256_store_pd(norm_lanes + 4, norm_hi);
-    for (int d = blocks; d < dim; ++d) {
-      dot_lanes[d & 7] += a[d] * b[d];
-      norm_lanes[d & 7] += a[d] * a[d];
-    }
-    *dot = LaneReduce(dot_lanes);
-    *a_sq_norm = LaneReduce(norm_lanes);
-  }
 };
 
 }  // namespace
@@ -102,12 +49,9 @@ namespace internal {
 const KernelBatchTable kTableAvx2 = {
     SimdLevel::kAvx2,
     body::NegEuclideanBatch<Avx2Backend>,
-    body::NegEuclideanBatchNorms<Avx2Backend>,
     body::RbfBatch<Avx2Backend>,
-    body::RbfBatchNorms<Avx2Backend>,
     body::LinearBatch<Avx2Backend>,
     body::CosineBatch<Avx2Backend>,
-    body::CosineBatchNorms<Avx2Backend>,
 };
 
 }  // namespace internal

@@ -19,23 +19,6 @@ namespace simd {
 namespace {
 
 struct Avx512Backend {
-  static double SqDist(const double* a, const double* b, int dim) {
-    __m512d acc = _mm512_setzero_pd();
-    const int blocks = dim & ~7;
-    for (int d = 0; d < blocks; d += 8) {
-      const __m512d diff =
-          _mm512_sub_pd(_mm512_loadu_pd(a + d), _mm512_loadu_pd(b + d));
-      acc = _mm512_add_pd(acc, _mm512_mul_pd(diff, diff));
-    }
-    alignas(64) double lanes[8];
-    _mm512_store_pd(lanes, acc);
-    for (int d = blocks; d < dim; ++d) {
-      const double diff = a[d] - b[d];
-      lanes[d & 7] += diff * diff;
-    }
-    return LaneReduce(lanes);
-  }
-
   static double Dot(const double* a, const double* b, int dim) {
     __m512d acc = _mm512_setzero_pd();
     const int blocks = dim & ~7;
@@ -48,29 +31,6 @@ struct Avx512Backend {
     for (int d = blocks; d < dim; ++d) lanes[d & 7] += a[d] * b[d];
     return LaneReduce(lanes);
   }
-
-  static void DotNorm(const double* a, const double* b, int dim, double* dot,
-                      double* a_sq_norm) {
-    __m512d dot_acc = _mm512_setzero_pd();
-    __m512d norm_acc = _mm512_setzero_pd();
-    const int blocks = dim & ~7;
-    for (int d = 0; d < blocks; d += 8) {
-      const __m512d av = _mm512_loadu_pd(a + d);
-      dot_acc =
-          _mm512_add_pd(dot_acc, _mm512_mul_pd(av, _mm512_loadu_pd(b + d)));
-      norm_acc = _mm512_add_pd(norm_acc, _mm512_mul_pd(av, av));
-    }
-    alignas(64) double dot_lanes[8];
-    alignas(64) double norm_lanes[8];
-    _mm512_store_pd(dot_lanes, dot_acc);
-    _mm512_store_pd(norm_lanes, norm_acc);
-    for (int d = blocks; d < dim; ++d) {
-      dot_lanes[d & 7] += a[d] * b[d];
-      norm_lanes[d & 7] += a[d] * a[d];
-    }
-    *dot = LaneReduce(dot_lanes);
-    *a_sq_norm = LaneReduce(norm_lanes);
-  }
 };
 
 }  // namespace
@@ -80,12 +40,9 @@ namespace internal {
 const KernelBatchTable kTableAvx512 = {
     SimdLevel::kAvx512,
     body::NegEuclideanBatch<Avx512Backend>,
-    body::NegEuclideanBatchNorms<Avx512Backend>,
     body::RbfBatch<Avx512Backend>,
-    body::RbfBatchNorms<Avx512Backend>,
     body::LinearBatch<Avx512Backend>,
     body::CosineBatch<Avx512Backend>,
-    body::CosineBatchNorms<Avx512Backend>,
 };
 
 }  // namespace internal

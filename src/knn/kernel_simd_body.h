@@ -1,14 +1,11 @@
 // Internal to the kernel_simd_*.cc translation units — not part of the
 // library API. Each per-ISA TU instantiates these per-kernel batch bodies
-// with a Backend supplying the three row primitives:
+// with a Backend supplying the one row primitive:
 //
-//   static double SqDist(const double* a, const double* b, int dim);
 //   static double Dot(const double* a, const double* b, int dim);
-//   static void DotNorm(const double* a, const double* b, int dim,
-//                       double* dot, double* a_sq_norm);
 //
 // Every backend must honor the fixed 8-lane accumulation shape documented
-// in kernel_simd.h; everything outside the primitives (norm expansion,
+// in kernel_simd.h; everything outside the primitive (norm expansion,
 // cancellation clamp, exp/sqrt sweeps, zero guards) is shared here, so the
 // per-row arithmetic surrounding the hot loops cannot drift between ISA
 // levels.
@@ -24,16 +21,8 @@ namespace simd {
 namespace body {
 
 template <typename Backend>
-void NegEuclideanBatch(const double* rows, int n, int dim, const double* t,
-                       double* out) {
-  for (int r = 0; r < n; ++r) {
-    out[r] = -Backend::SqDist(rows + static_cast<size_t>(r) * dim, t, dim);
-  }
-}
-
-template <typename Backend>
-void NegEuclideanBatchNorms(const double* rows, const double* row_sq_norms,
-                            int n, int dim, const double* t, double* out) {
+void NegEuclideanBatch(const double* rows, const double* row_sq_norms, int n,
+                       int dim, const double* t, double* out) {
   const double t_norm = Backend::Dot(t, t, dim);
   for (int r = 0; r < n; ++r) {
     const double dot =
@@ -47,19 +36,8 @@ void NegEuclideanBatchNorms(const double* rows, const double* row_sq_norms,
 }
 
 template <typename Backend>
-void RbfBatch(const double* rows, int n, int dim, const double* t,
-              double gamma, double* out) {
-  for (int r = 0; r < n; ++r) {
-    out[r] =
-        -gamma * Backend::SqDist(rows + static_cast<size_t>(r) * dim, t, dim);
-  }
-  // Scalar exp sweep in every backend: one libm, identical transcendentals.
-  for (int r = 0; r < n; ++r) out[r] = std::exp(out[r]);
-}
-
-template <typename Backend>
-void RbfBatchNorms(const double* rows, const double* row_sq_norms, int n,
-                   int dim, const double* t, double gamma, double* out) {
+void RbfBatch(const double* rows, const double* row_sq_norms, int n, int dim,
+              const double* t, double gamma, double* out) {
   const double t_norm = Backend::Dot(t, t, dim);
   for (int r = 0; r < n; ++r) {
     const double dot =
@@ -68,6 +46,7 @@ void RbfBatchNorms(const double* rows, const double* row_sq_norms, int n,
     if (d2 < 0.0) d2 = 0.0;
     out[r] = -gamma * d2;
   }
+  // Scalar exp sweep in every backend: one libm, identical transcendentals.
   for (int r = 0; r < n; ++r) out[r] = std::exp(out[r]);
 }
 
@@ -80,19 +59,8 @@ void LinearBatch(const double* rows, int n, int dim, const double* t,
 }
 
 template <typename Backend>
-void CosineBatch(const double* rows, int n, int dim, const double* t,
-                 double* out) {
-  const double t_norm = Backend::Dot(t, t, dim);
-  for (int r = 0; r < n; ++r) {
-    double dot = 0.0, na = 0.0;
-    Backend::DotNorm(rows + static_cast<size_t>(r) * dim, t, dim, &dot, &na);
-    out[r] = (na <= 0.0 || t_norm <= 0.0) ? 0.0 : dot / std::sqrt(na * t_norm);
-  }
-}
-
-template <typename Backend>
-void CosineBatchNorms(const double* rows, const double* row_sq_norms, int n,
-                      int dim, const double* t, double* out) {
+void CosineBatch(const double* rows, const double* row_sq_norms, int n,
+                 int dim, const double* t, double* out) {
   const double t_norm = Backend::Dot(t, t, dim);
   for (int r = 0; r < n; ++r) {
     const double dot =

@@ -1,8 +1,8 @@
 // The scalar reference implementations — always compiled, every platform.
-// The row primitives are the inline lane-structured helpers themselves, so
-// this TU *defines* the bit pattern the vector TUs must reproduce. Built
-// with -ffp-contract=off (like the vector TUs) so a -march=native build
-// cannot fuse multiply-adds here and break cross-level identity.
+// Its lane-structured dot product *defines* the bit pattern the vector TUs
+// must reproduce. Built with -ffp-contract=off (like the vector TUs) so a
+// -march=native build cannot fuse multiply-adds here and break cross-level
+// identity.
 
 #include "knn/kernel_simd.h"
 #include "knn/kernel_simd_body.h"
@@ -13,15 +13,14 @@ namespace simd {
 namespace {
 
 struct ScalarBackend {
-  static double SqDist(const double* a, const double* b, int dim) {
-    return LaneSqDist(a, b, dim);
-  }
   static double Dot(const double* a, const double* b, int dim) {
-    return LaneDot(a, b, dim);
-  }
-  static void DotNorm(const double* a, const double* b, int dim, double* dot,
-                      double* a_sq_norm) {
-    LaneDotNorm(a, b, dim, dot, a_sq_norm);
+    double lanes[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+    const int blocks = dim & ~7;
+    for (int d = 0; d < blocks; d += 8) {
+      for (int l = 0; l < 8; ++l) lanes[l] += a[d + l] * b[d + l];
+    }
+    for (int d = blocks; d < dim; ++d) lanes[d & 7] += a[d] * b[d];
+    return LaneReduce(lanes);
   }
 };
 
@@ -32,12 +31,9 @@ namespace internal {
 const KernelBatchTable kTableScalar = {
     SimdLevel::kScalar,
     body::NegEuclideanBatch<ScalarBackend>,
-    body::NegEuclideanBatchNorms<ScalarBackend>,
     body::RbfBatch<ScalarBackend>,
-    body::RbfBatchNorms<ScalarBackend>,
     body::LinearBatch<ScalarBackend>,
     body::CosineBatch<ScalarBackend>,
-    body::CosineBatchNorms<ScalarBackend>,
 };
 
 }  // namespace internal

@@ -40,8 +40,8 @@ std::vector<ScoredCandidate> KnnClassifier::Score(
   CP_CHECK_EQ(static_cast<int>(t.size()), dim_);
   const int n = num_examples();
   std::vector<double> sims(static_cast<size_t>(n));
-  kernel_->SimilarityBatchNorms(flat_.data(), sq_norms_.data(), n, dim_,
-                                t.data(), sims.data());
+  kernel_->SimilarityBatch(flat_.data(), sq_norms_.data(), n, dim_, t.data(),
+                           sims.data());
   std::vector<ScoredCandidate> scored;
   scored.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {

@@ -128,7 +128,7 @@ Status EventLoop::Run() {
   // The EMFILE reserve: one fd held in escrow so accept-at-the-limit can
   // briefly free a slot, accept the surplus connection, and turn it away
   // with a structured line instead of leaving it dangling in the backlog.
-  spare_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  RefillSpareFd();
   epoll_fd_ = ::epoll_create1(0);
   if (epoll_fd_ >= 0) wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
   if (wake_fd_ < 0) {
@@ -280,6 +280,7 @@ void EventLoop::Housekeeping() {
 
   if (listener_parked_ && listener_open_ && now >= listener_retry_at_) {
     listener_parked_ = false;
+    RefillSpareFd();
     Watch(listen_fd_);
   }
   if (!timers_armed) return;
@@ -348,6 +349,10 @@ void EventLoop::ParkListener() {
                        std::chrono::milliseconds(accept_backoff_ms_);
 }
 
+void EventLoop::RefillSpareFd() {
+  if (spare_fd_ < 0) spare_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+}
+
 void EventLoop::AcceptReady() {
   while (true) {
     // el.accept simulates fd-table exhaustion: the pending connection is
@@ -382,7 +387,7 @@ void EventLoop::AcceptReady() {
           SendAll(victim, fd_exhausted_line_);
           ::close(victim);
         }
-        spare_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+        RefillSpareFd();
         if (victim >= 0) continue;  // rejected one; keep draining
         if (backlog_empty) return;
         ParkListener();  // even the spare didn't help: stop busy-spinning
@@ -394,6 +399,7 @@ void EventLoop::AcceptReady() {
       return;
     }
     accept_backoff_ms_ = 0;  // forward progress resets the EMFILE backoff
+    RefillSpareFd();
     if (server_->stopping() || hard_stop_.load()) {
       ::close(client);
       continue;

@@ -154,6 +154,11 @@ class EventLoop {
   /// Takes the listener out of epoll after persistent accept failure and
   /// schedules a doubling-backoff retry (no busy-spin on EMFILE).
   void ParkListener();
+  /// Opens the EMFILE reserve fd if it is missing: at startup, after an
+  /// episode cashed it in, and whenever descriptors may have come back (a
+  /// successful accept, the parked-listener re-arm), so an episode whose
+  /// own reopen failed does not leave every later episode without one.
+  void RefillSpareFd();
   void AdoptConnection(const std::shared_ptr<Connection>& conn);
   /// Registers `fd` with the loop's epoll set for EPOLLIN.
   void Watch(int fd);

@@ -142,8 +142,8 @@ const std::vector<OpInfo>& OpRegistry() {
        "`session`, `source` (`paper`\\|`synthetic`\\|`csv`), dataset params "
        "(`dataset`, `train_rows`, `val_size`, `test_size`, `seed`, "
        "`missing_rate`, …; for CSV: `csv_text`/`csv_path`, `label`, optional "
-       "`clean_*`/`val_*`/`test_*`), `k`, `kernel`, `num_threads`, "
-       "`cache_capacity`, `max_contrib_bytes`",
+       "`clean_*`/`val_*`/`test_*`), `k`, `kernel`, `num_threads` (0 to the "
+       "`--threads` pool size), `cache_capacity`, `max_contrib_bytes`",
        "session summary (sizes, dim, `log2_worlds`)",
        &OpHandlers::CreateSession},
       {"list_sessions", OpClass::kStateless, false, false, "—",

@@ -89,6 +89,15 @@ Result<JsonValue> Server::CreateSession(const JsonValue& req) {
   CP_ASSIGN_OR_RETURN(
       ServeSessionOptions options,
       ServeSessionOptionsFromRequest(req, options_.default_cache_capacity));
+  // 0 shares the server's pool; a positive count builds a private pool for
+  // the session (and another per uncached certify), so a client may ask for
+  // at most the pool size the operator chose with --threads.
+  const int max_threads = GlobalThreadPoolThreads();
+  if (options.num_threads < 0 || options.num_threads > max_threads) {
+    return Status::InvalidArgument(StrFormat(
+        "num_threads must be in [0, %d] (0 shares the server's pool), got %d",
+        max_threads, options.num_threads));
+  }
   // Working storage is server policy (the --storage-mode flag), never part
   // of the client spec — rehydration applies the same resolution.
   options.mmap_scratch_dir = ResolveScratchDir(options_);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -91,6 +92,18 @@ TEST_F(CleaningLogTest, DecodeRejectsCorruption) {
   // Truncation (a torn line).
   EXPECT_FALSE(DecodeLogRecord(line.substr(0, line.size() - 3)).ok());
   EXPECT_FALSE(DecodeLogRecord("").ok());
+  // Another spelling of the same checksum or numbers: one record has one
+  // line.
+  std::string upper_sum = line;
+  for (size_t i = line.size() - 16; i < line.size(); ++i) {
+    upper_sum[i] = static_cast<char>(std::toupper(upper_sum[i]));
+  }
+  ASSERT_NE(upper_sum, line);
+  EXPECT_FALSE(DecodeLogRecord(upper_sum).ok());
+  for (const char* body : {"fix 05 2 0", "fix 5 +2 0", "fix 5 2  0",
+                           "fix -18446744073709551611 2 0"}) {
+    EXPECT_FALSE(DecodeLogRecord(Checksummed(body)).ok()) << body;
+  }
 }
 
 TEST_F(CleaningLogTest, AppendScanRoundTrip) {

@@ -114,16 +114,16 @@ TEST(MmapDatasetTest, SlabBitIdenticalAcrossCompiledSimdLevels) {
        {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
     const simd::KernelBatchTable* table = simd::TableForLevel(level);
     if (table == nullptr) continue;
-    table->neg_euclidean_norms(ram.flat_data(), ram.flat_sq_norms(), n, dim,
-                               t.data(), want.data());
-    table->neg_euclidean_norms(mapped.flat_data(), mapped.flat_sq_norms(), n,
-                               dim, t.data(), got.data());
+    table->neg_euclidean(ram.flat_data(), ram.flat_sq_norms(), n, dim,
+                         t.data(), want.data());
+    table->neg_euclidean(mapped.flat_data(), mapped.flat_sq_norms(), n, dim,
+                         t.data(), got.data());
     ExpectBitIdenticalScores(
         want, got, std::string("neg_euclidean ") + SimdLevelName(level));
-    table->cosine_norms(ram.flat_data(), ram.flat_sq_norms(), n, dim,
-                        t.data(), want.data());
-    table->cosine_norms(mapped.flat_data(), mapped.flat_sq_norms(), n, dim,
-                        t.data(), got.data());
+    table->cosine(ram.flat_data(), ram.flat_sq_norms(), n, dim, t.data(),
+                  want.data());
+    table->cosine(mapped.flat_data(), mapped.flat_sq_norms(), n, dim,
+                  t.data(), got.data());
     ExpectBitIdenticalScores(
         want, got, std::string("cosine ") + SimdLevelName(level));
   }

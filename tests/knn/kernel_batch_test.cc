@@ -1,6 +1,7 @@
-// Batch-vs-scalar equality for every kernel: the batched entry points must
-// agree with the scalar path across odd dimensions, empty inputs, and the
-// norm-accelerated variants (which may differ only by float-rounding ulps).
+// The one scoring entry against a naive direct formula for every kernel,
+// across odd dimensions and empty inputs. The entry expands the distance
+// through the cached row norms, which reassociates the arithmetic, so the
+// two may differ by float-rounding ulps only.
 
 #include <gtest/gtest.h>
 
@@ -28,8 +29,33 @@ std::vector<double> RandomRow(Rng* rng, int dim) {
   return row;
 }
 
+/// κ(a, t) straight from its definition: no norm expansion, no lanes.
+double Direct(KernelKind kind, double gamma, const double* a, const double* t,
+              int dim) {
+  double sq_dist = 0.0, dot = 0.0, a_norm = 0.0, t_norm = 0.0;
+  for (int d = 0; d < dim; ++d) {
+    sq_dist += (a[d] - t[d]) * (a[d] - t[d]);
+    dot += a[d] * t[d];
+    a_norm += a[d] * a[d];
+    t_norm += t[d] * t[d];
+  }
+  switch (kind) {
+    case KernelKind::kNegativeEuclidean:
+      return -sq_dist;
+    case KernelKind::kRbf:
+      return std::exp(-gamma * sq_dist);
+    case KernelKind::kLinear:
+      return dot;
+    case KernelKind::kCosine:
+      if (a_norm <= 0.0 || t_norm <= 0.0) return 0.0;
+      return dot / std::sqrt(a_norm * t_norm);
+  }
+  return 0.0;
+}
+
 TEST_P(KernelBatchTest, BatchMatchesScalarAcrossShapes) {
-  const auto kernel = MakeKernel(GetParam().kind, /*gamma=*/0.7);
+  const double gamma = 0.7;
+  const auto kernel = MakeKernel(GetParam().kind, gamma);
   ASSERT_NE(kernel, nullptr);
   Rng rng(42);
   for (const int dim : {1, 2, 3, 5, 7, 13, 64}) {
@@ -46,21 +72,16 @@ TEST_P(KernelBatchTest, BatchMatchesScalarAcrossShapes) {
       const std::vector<double> t = RandomRow(&rng, dim);
 
       std::vector<double> batch(static_cast<size_t>(n), -123.0);
-      kernel->SimilarityBatch(rows.data(), n, dim, t.data(), batch.data());
-      std::vector<double> batch_norms(static_cast<size_t>(n), -123.0);
-      kernel->SimilarityBatchNorms(rows.data(), norms.data(), n, dim,
-                                   t.data(), batch_norms.data());
+      kernel->SimilarityBatch(rows.data(), norms.data(), n, dim, t.data(),
+                              batch.data());
 
       for (int r = 0; r < n; ++r) {
-        const double scalar = kernel->SimilarityRaw(
-            rows.data() + static_cast<size_t>(r) * dim, t.data(), dim);
-        EXPECT_DOUBLE_EQ(batch[static_cast<size_t>(r)], scalar)
+        const double want =
+            Direct(GetParam().kind, gamma,
+                   rows.data() + static_cast<size_t>(r) * dim, t.data(), dim);
+        EXPECT_NEAR(batch[static_cast<size_t>(r)], want,
+                    1e-9 * (1.0 + std::abs(want)))
             << GetParam().name << " dim=" << dim << " row=" << r;
-        // The norm expansion reassociates the arithmetic; allow ulp-scale
-        // relative drift only.
-        EXPECT_NEAR(batch_norms[static_cast<size_t>(r)], scalar,
-                    1e-9 * (1.0 + std::abs(scalar)))
-            << GetParam().name << " (norms) dim=" << dim << " row=" << r;
       }
     }
   }
@@ -70,35 +91,13 @@ TEST_P(KernelBatchTest, EmptyBatchIsANoOp) {
   const auto kernel = MakeKernel(GetParam().kind, 0.7);
   const double t[3] = {1.0, 2.0, 3.0};
   double sentinel = -7.0;
-  kernel->SimilarityBatch(nullptr, 0, 3, t, &sentinel);
-  kernel->SimilarityBatchNorms(nullptr, nullptr, 0, 3, t, &sentinel);
+  kernel->SimilarityBatch(nullptr, nullptr, 0, 3, t, &sentinel);
   EXPECT_DOUBLE_EQ(sentinel, -7.0);
 }
 
-TEST_P(KernelBatchTest, NullNormsFallBackToPlainBatch) {
-  const auto kernel = MakeKernel(GetParam().kind, 0.7);
-  Rng rng(7);
-  const int dim = 5, n = 6;
-  std::vector<double> rows;
-  for (int r = 0; r < n; ++r) {
-    const auto row = RandomRow(&rng, dim);
-    rows.insert(rows.end(), row.begin(), row.end());
-  }
-  const auto t = RandomRow(&rng, dim);
-  std::vector<double> plain(static_cast<size_t>(n));
-  std::vector<double> viaNull(static_cast<size_t>(n));
-  kernel->SimilarityBatch(rows.data(), n, dim, t.data(), plain.data());
-  kernel->SimilarityBatchNorms(rows.data(), nullptr, n, dim, t.data(),
-                               viaNull.data());
-  for (int r = 0; r < n; ++r) {
-    EXPECT_DOUBLE_EQ(plain[static_cast<size_t>(r)],
-                     viaNull[static_cast<size_t>(r)]);
-  }
-}
-
 TEST_P(KernelBatchTest, IdenticalRowScoresAsMostSimilar) {
-  // a == t must score exactly as "identical" through the norm expansion
-  // too: neg-Euclidean 0, RBF 1, cosine 1 (guards the cancellation clamp).
+  // a == t must score exactly as "identical" through the norm expansion:
+  // neg-Euclidean 0, RBF 1, cosine 1 (guards the cancellation clamp).
   const auto kernel = MakeKernel(GetParam().kind, 0.7);
   Rng rng(11);
   const int dim = 9;
@@ -106,7 +105,7 @@ TEST_P(KernelBatchTest, IdenticalRowScoresAsMostSimilar) {
   double norm = 0.0;
   for (const double v : t) norm += v * v;
   double out = -123.0;
-  kernel->SimilarityBatchNorms(t.data(), &norm, 1, dim, t.data(), &out);
+  kernel->SimilarityBatch(t.data(), &norm, 1, dim, t.data(), &out);
   switch (GetParam().kind) {
     case KernelKind::kNegativeEuclidean:
       EXPECT_DOUBLE_EQ(out, 0.0);
@@ -121,16 +120,6 @@ TEST_P(KernelBatchTest, IdenticalRowScoresAsMostSimilar) {
       EXPECT_DOUBLE_EQ(out, norm);
       break;
   }
-}
-
-TEST(KernelBatchVectorApiTest, VectorSimilarityStillWorks) {
-  // The pre-batch scalar API is the compatibility surface for single-pair
-  // callers (KNN over complete data); it must match SimilarityRaw exactly.
-  NegativeEuclideanKernel kernel;
-  const std::vector<double> a = {0.0, 0.0}, b = {3.0, 4.0};
-  EXPECT_DOUBLE_EQ(kernel.Similarity(a, b), -25.0);
-  EXPECT_DOUBLE_EQ(kernel.Similarity(a, b),
-                   kernel.SimilarityRaw(a.data(), b.data(), 2));
 }
 
 INSTANTIATE_TEST_SUITE_P(

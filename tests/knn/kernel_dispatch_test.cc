@@ -14,7 +14,6 @@
 
 #include "common/cpu_features.h"
 #include "common/rng.h"
-#include "knn/kernel.h"
 #include "knn/kernel_simd.h"
 
 namespace cpclean {
@@ -72,9 +71,12 @@ TEST(KernelDispatchTest, AllKernelsBitIdenticalAcrossLevels) {
     for (auto& v : rows) v = rng.NextDouble(-3, 3);
     for (auto& v : t) v = rng.NextDouble(-3, 3);
     for (int r = 0; r < n; ++r) {
-      norms[static_cast<size_t>(r)] = simd::LaneDot(
-          rows.data() + static_cast<size_t>(r) * dim,
-          rows.data() + static_cast<size_t>(r) * dim, dim);
+      double sq = 0.0;
+      for (int d = 0; d < dim; ++d) {
+        const double v = rows[static_cast<size_t>(r) * dim + d];
+        sq += v * v;
+      }
+      norms[static_cast<size_t>(r)] = sq;
     }
     std::vector<double> want(static_cast<size_t>(n));
     std::vector<double> got(static_cast<size_t>(n));
@@ -83,39 +85,23 @@ TEST(KernelDispatchTest, AllKernelsBitIdenticalAcrossLevels) {
       const std::string ctx = std::string(SimdLevelName(level)) + " n=" +
                               std::to_string(n) + " dim=" +
                               std::to_string(dim);
-      ref.neg_euclidean(rows.data(), n, dim, t.data(), want.data());
-      table.neg_euclidean(rows.data(), n, dim, t.data(), got.data());
+      ref.neg_euclidean(rows.data(), norms.data(), n, dim, t.data(),
+                        want.data());
+      table.neg_euclidean(rows.data(), norms.data(), n, dim, t.data(),
+                          got.data());
       ExpectBitIdentical(want, got, "neg_euclidean " + ctx);
 
-      ref.neg_euclidean_norms(rows.data(), norms.data(), n, dim, t.data(),
-                              want.data());
-      table.neg_euclidean_norms(rows.data(), norms.data(), n, dim, t.data(),
-                                got.data());
-      ExpectBitIdentical(want, got, "neg_euclidean_norms " + ctx);
-
-      ref.rbf(rows.data(), n, dim, t.data(), 0.7, want.data());
-      table.rbf(rows.data(), n, dim, t.data(), 0.7, got.data());
+      ref.rbf(rows.data(), norms.data(), n, dim, t.data(), 0.7, want.data());
+      table.rbf(rows.data(), norms.data(), n, dim, t.data(), 0.7, got.data());
       ExpectBitIdentical(want, got, "rbf " + ctx);
-
-      ref.rbf_norms(rows.data(), norms.data(), n, dim, t.data(), 0.7,
-                    want.data());
-      table.rbf_norms(rows.data(), norms.data(), n, dim, t.data(), 0.7,
-                      got.data());
-      ExpectBitIdentical(want, got, "rbf_norms " + ctx);
 
       ref.linear(rows.data(), n, dim, t.data(), want.data());
       table.linear(rows.data(), n, dim, t.data(), got.data());
       ExpectBitIdentical(want, got, "linear " + ctx);
 
-      ref.cosine(rows.data(), n, dim, t.data(), want.data());
-      table.cosine(rows.data(), n, dim, t.data(), got.data());
+      ref.cosine(rows.data(), norms.data(), n, dim, t.data(), want.data());
+      table.cosine(rows.data(), norms.data(), n, dim, t.data(), got.data());
       ExpectBitIdentical(want, got, "cosine " + ctx);
-
-      ref.cosine_norms(rows.data(), norms.data(), n, dim, t.data(),
-                       want.data());
-      table.cosine_norms(rows.data(), norms.data(), n, dim, t.data(),
-                         got.data());
-      ExpectBitIdentical(want, got, "cosine_norms " + ctx);
     }
   }
 }
@@ -125,37 +111,11 @@ TEST(KernelDispatchTest, EmptyBatchIsANoOpOnEveryLevel) {
   for (const SimdLevel level : AvailableLevels()) {
     const simd::KernelBatchTable& table = *simd::TableForLevel(level);
     double sentinel = -7.0;
-    table.neg_euclidean(nullptr, 0, 3, t, &sentinel);
-    table.neg_euclidean_norms(nullptr, nullptr, 0, 3, t, &sentinel);
-    table.rbf(nullptr, 0, 3, t, 0.7, &sentinel);
-    table.rbf_norms(nullptr, nullptr, 0, 3, t, 0.7, &sentinel);
+    table.neg_euclidean(nullptr, nullptr, 0, 3, t, &sentinel);
+    table.rbf(nullptr, nullptr, 0, 3, t, 0.7, &sentinel);
     table.linear(nullptr, 0, 3, t, &sentinel);
-    table.cosine(nullptr, 0, 3, t, &sentinel);
-    table.cosine_norms(nullptr, nullptr, 0, 3, t, &sentinel);
+    table.cosine(nullptr, nullptr, 0, 3, t, &sentinel);
     EXPECT_DOUBLE_EQ(sentinel, -7.0) << SimdLevelName(level);
-  }
-}
-
-TEST(KernelDispatchTest, NullNormsForwardToPlainBatchThroughPublicApi) {
-  // The null-forwarding guard lives in the public kernel wrappers (the
-  // tables require non-null norms); whichever level is active, the two
-  // entry points must agree bit-for-bit when norms are absent.
-  Rng rng(9);
-  const int n = 5, dim = 9;
-  std::vector<double> rows(static_cast<size_t>(n) * dim);
-  std::vector<double> t(static_cast<size_t>(dim));
-  for (auto& v : rows) v = rng.NextDouble(-3, 3);
-  for (auto& v : t) v = rng.NextDouble(-3, 3);
-  std::vector<double> plain(static_cast<size_t>(n));
-  std::vector<double> via_null(static_cast<size_t>(n));
-  for (const KernelKind kind :
-       {KernelKind::kNegativeEuclidean, KernelKind::kRbf, KernelKind::kLinear,
-        KernelKind::kCosine}) {
-    const auto kernel = MakeKernel(kind, 0.7);
-    kernel->SimilarityBatch(rows.data(), n, dim, t.data(), plain.data());
-    kernel->SimilarityBatchNorms(rows.data(), nullptr, n, dim, t.data(),
-                                 via_null.data());
-    ExpectBitIdentical(plain, via_null, kernel->name() + " null-norms");
   }
 }
 

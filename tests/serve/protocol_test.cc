@@ -4,6 +4,8 @@
 // the way through) and direct library calls, with cache hits on repeats
 // and precise invalidation after cleaning steps.
 
+#include <dirent.h>
+
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,6 +15,7 @@
 #include "cleaning/certify.h"
 #include "cleaning/cp_clean.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "core/fast_q2.h"
 #include "eval/experiment.h"
 #include "knn/kernel.h"
@@ -200,6 +203,39 @@ TEST(ProtocolTest, ErrorPaths) {
                              "{\"op\":\"q2\",\"session\":\"s\","
                              "\"val_indices\":[-1]}"),
             "Invalid argument");
+}
+
+/// The threads this process runs now (one /proc/self/task entry each).
+int ThreadCount() {
+  int count = 0;
+  DIR* dir = ::opendir("/proc/self/task");
+  if (dir == nullptr) return -1;
+  while (const dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] != '.') ++count;
+  }
+  ::closedir(dir);
+  return count;
+}
+
+TEST(ProtocolTest, NumThreadsIsBoundedByTheServerPool) {
+  Server server;
+  const int cap = GlobalThreadPoolThreads();
+  const std::string create = CreateRequest("t");
+  const auto with_threads = [&create](int num_threads) {
+    return create.substr(0, create.size() - 1) +
+           StrFormat(",\"num_threads\":%d}", num_threads);
+  };
+  // Refused before any pool is built: no thread starts for either.
+  const int threads_before = ThreadCount();
+  ASSERT_GT(threads_before, 0);
+  for (const int bad : {-1, cap + 1}) {
+    EXPECT_EQ(RespondErrorCode(&server, with_threads(bad)),
+              "Invalid argument")
+        << "num_threads=" << bad;
+    EXPECT_EQ(ThreadCount(), threads_before) << "num_threads=" << bad;
+  }
+  EXPECT_EQ(RespondOk(&server, with_threads(1)).Find("session")->string_value(),
+            "t");
 }
 
 /// Every per-point read op shares one prologue: a wrong-length point gets

@@ -31,6 +31,7 @@ namespace cpclean {
 namespace {
 
 using serve_test::LineClient;
+using serve_test::OpenFds;
 using serve_test::ParseOk;
 using serve_test::ScopedFdLimit;
 
@@ -189,6 +190,16 @@ TEST_F(ResilienceTest, ParkedListenerRetriesAndServesTheWaitingClient) {
   const std::atomic<uint64_t>& rejected =
       server.transport_counters().rejected_connections;
   const uint64_t rejected_before = rejected.load();
+  // The warm connection's server half closes once the loop reads its EOF.
+  const std::atomic<int>& active =
+      server.transport_counters().active_connections;
+  const auto closed_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (active.load() != 0 && std::chrono::steady_clock::now() < closed_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(active.load(), 0);
+  const size_t fds_before = OpenFds().size();
 
   // The client owns its socket before the process runs out of
   // descriptors. With the soft limit at 0 not even the victim accept that
@@ -216,6 +227,10 @@ TEST_F(ResilienceTest, ParkedListenerRetriesAndServesTheWaitingClient) {
   // Descriptors are back: the backoff re-arms the listener, and the same
   // client — never turned away — gets normal service.
   EXPECT_EQ(client.Issue(ping), twin.HandleLine(ping));
+  // The episode cashed in the EMFILE reserve and could not reopen it under
+  // the zero limit; the re-arm takes it back, so the only new descriptors
+  // are the client's socket and its accepted connection.
+  EXPECT_EQ(OpenFds().size(), fds_before + 2);
 
   server.Stop();
   serving.join();

@@ -1,9 +1,11 @@
 // Shared plumbing for the serve-layer tests: a blocking line-protocol TCP
-// client, a scoped descriptor-limit guard and small JSON response helpers.
+// client, a scoped descriptor-limit guard, the open-descriptor listing and
+// small JSON response helpers.
 
 #ifndef CPCLEAN_TESTS_SERVE_SERVE_TEST_UTIL_H_
 #define CPCLEAN_TESTS_SERVE_SERVE_TEST_UTIL_H_
 
+#include <dirent.h>
 #include <netinet/in.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -12,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -131,6 +135,22 @@ class ScopedFdLimit {
   bool saved_ok_ = false;
   bool ok_ = false;
 };
+
+/// The process's open descriptors, ascending (the listing's own aside).
+inline std::vector<int> OpenFds() {
+  std::vector<int> fds;
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return fds;
+  const int own = ::dirfd(dir);
+  while (const dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] == '.') continue;
+    const int fd = std::atoi(entry->d_name);
+    if (fd != own) fds.push_back(fd);
+  }
+  ::closedir(dir);
+  std::sort(fds.begin(), fds.end());
+  return fds;
+}
 
 /// Parses a response line, asserts ok:true, and returns its result object
 /// (empty on any malformed/error response, so a server regression shows a

@@ -5,7 +5,6 @@
 // identical q2 requests coalescing into one evaluation under load; out-of-
 // range ports refused; and a setup failure that leaks no descriptor.
 
-#include <dirent.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -30,6 +29,7 @@ namespace cpclean {
 namespace {
 
 using serve_test::LineClient;
+using serve_test::OpenFds;
 using serve_test::ParseOk;
 using serve_test::ScopedFdLimit;
 
@@ -78,22 +78,6 @@ Status ServeTcpExpectingFailure(Server& server, int port) {
   if (served) server.Stop();
   serving.join();
   return served ? Status::Internal("ServeTcp started serving") : status;
-}
-
-/// The process's open descriptors, ascending (the listing's own aside).
-std::vector<int> OpenFds() {
-  std::vector<int> fds;
-  DIR* dir = ::opendir("/proc/self/fd");
-  if (dir == nullptr) return fds;
-  const int own = ::dirfd(dir);
-  while (const dirent* entry = ::readdir(dir)) {
-    if (entry->d_name[0] == '.') continue;
-    const int fd = std::atoi(entry->d_name);
-    if (fd != own) fds.push_back(fd);
-  }
-  ::closedir(dir);
-  std::sort(fds.begin(), fds.end());
-  return fds;
 }
 
 /// The soft descriptor limit under which exactly `room` more descriptors
