@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -95,6 +96,36 @@ TEST_P(KernelBatchTest, EmptyBatchIsANoOp) {
   EXPECT_DOUBLE_EQ(sentinel, -7.0);
 }
 
+TEST_P(KernelBatchTest, RowByRowMatchesWholeBatch) {
+  // A single-pair caller scores one row as a batch of n = 1; it must get the
+  // bits a whole-batch caller gets for that row, or a certified label and
+  // the classifier's prediction could disagree on a tie.
+  const auto kernel = MakeKernel(GetParam().kind, 0.7);
+  Rng rng(7);
+  const int dim = 5, n = 6;
+  std::vector<double> rows, norms;
+  for (int r = 0; r < n; ++r) {
+    const auto row = RandomRow(&rng, dim);
+    double sq = 0.0;
+    for (const double v : row) sq += v * v;
+    norms.push_back(sq);
+    rows.insert(rows.end(), row.begin(), row.end());
+  }
+  const auto t = RandomRow(&rng, dim);
+  std::vector<double> whole(static_cast<size_t>(n), -123.0);
+  kernel->SimilarityBatch(rows.data(), norms.data(), n, dim, t.data(),
+                          whole.data());
+  for (int r = 0; r < n; ++r) {
+    double one = -123.0;
+    kernel->SimilarityBatch(rows.data() + static_cast<size_t>(r) * dim,
+                            norms.data() + r, 1, dim, t.data(), &one);
+    EXPECT_EQ(std::memcmp(&one, &whole[static_cast<size_t>(r)], sizeof(one)),
+              0)
+        << GetParam().name << " row=" << r << ": " << one << " vs "
+        << whole[static_cast<size_t>(r)];
+  }
+}
+
 TEST_P(KernelBatchTest, IdenticalRowScoresAsMostSimilar) {
   // a == t must score exactly as "identical" through the norm expansion:
   // neg-Euclidean 0, RBF 1, cosine 1 (guards the cancellation clamp).
@@ -120,6 +151,26 @@ TEST_P(KernelBatchTest, IdenticalRowScoresAsMostSimilar) {
       EXPECT_DOUBLE_EQ(out, norm);
       break;
   }
+}
+
+TEST(KernelBatchNormsTest, LinearIgnoresNorms) {
+  // The dot product needs no norm, so the linear kernel must neither read
+  // the norms nor let them change a score: absent, true and garbage norms
+  // all give the same bits.
+  LinearKernel kernel;
+  const int dim = 3, n = 2;
+  const double rows[6] = {1.0, 2.0, 3.0, -1.0, 0.5, 4.0};
+  const double t[3] = {4.0, 5.0, 6.0};
+  const double true_norms[2] = {14.0, 17.25};
+  const double garbage_norms[2] = {-1.0, 1e300};
+  double absent[2], with_true[2], with_garbage[2];
+  kernel.SimilarityBatch(rows, nullptr, n, dim, t, absent);
+  kernel.SimilarityBatch(rows, true_norms, n, dim, t, with_true);
+  kernel.SimilarityBatch(rows, garbage_norms, n, dim, t, with_garbage);
+  EXPECT_DOUBLE_EQ(absent[0], 32.0);
+  EXPECT_DOUBLE_EQ(absent[1], 22.5);
+  EXPECT_EQ(std::memcmp(absent, with_true, sizeof(absent)), 0);
+  EXPECT_EQ(std::memcmp(absent, with_garbage, sizeof(absent)), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -14,6 +14,7 @@
 
 #include "common/cpu_features.h"
 #include "common/rng.h"
+#include "knn/kernel.h"
 #include "knn/kernel_simd.h"
 
 namespace cpclean {
@@ -116,6 +117,55 @@ TEST(KernelDispatchTest, EmptyBatchIsANoOpOnEveryLevel) {
     table.linear(nullptr, 0, 3, t, &sentinel);
     table.cosine(nullptr, nullptr, 0, 3, t, &sentinel);
     EXPECT_DOUBLE_EQ(sentinel, -7.0) << SimdLevelName(level);
+  }
+}
+
+TEST(KernelDispatchTest, PublicKernelsForwardToActiveTable) {
+  // The kernel classes are thin wrappers: each must hand its rows, norms
+  // and gamma to the active level's table entry unchanged, so a score seen
+  // through the public API is the table's score bit for bit.
+  Rng rng(9);
+  const int n = 5, dim = 9;
+  std::vector<double> rows(static_cast<size_t>(n) * dim);
+  std::vector<double> norms(static_cast<size_t>(n));
+  std::vector<double> t(static_cast<size_t>(dim));
+  for (auto& v : rows) v = rng.NextDouble(-3, 3);
+  for (auto& v : t) v = rng.NextDouble(-3, 3);
+  for (int r = 0; r < n; ++r) {
+    double sq = 0.0;
+    for (int d = 0; d < dim; ++d) {
+      const double v = rows[static_cast<size_t>(r) * dim + d];
+      sq += v * v;
+    }
+    norms[static_cast<size_t>(r)] = sq;
+  }
+  const simd::KernelBatchTable& table = simd::ActiveTable();
+  std::vector<double> want(static_cast<size_t>(n));
+  std::vector<double> got(static_cast<size_t>(n));
+  for (const KernelKind kind :
+       {KernelKind::kNegativeEuclidean, KernelKind::kRbf, KernelKind::kLinear,
+        KernelKind::kCosine}) {
+    const auto kernel = MakeKernel(kind, 0.7);
+    switch (kind) {
+      case KernelKind::kNegativeEuclidean:
+        table.neg_euclidean(rows.data(), norms.data(), n, dim, t.data(),
+                            want.data());
+        break;
+      case KernelKind::kRbf:
+        table.rbf(rows.data(), norms.data(), n, dim, t.data(), 0.7,
+                  want.data());
+        break;
+      case KernelKind::kLinear:
+        table.linear(rows.data(), n, dim, t.data(), want.data());
+        break;
+      case KernelKind::kCosine:
+        table.cosine(rows.data(), norms.data(), n, dim, t.data(),
+                     want.data());
+        break;
+    }
+    kernel->SimilarityBatch(rows.data(), norms.data(), n, dim, t.data(),
+                            got.data());
+    ExpectBitIdentical(want, got, kernel->name() + " public API");
   }
 }
 
